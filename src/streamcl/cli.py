@@ -26,6 +26,7 @@ from .config import (
     serialize,
     validate,
 )
+from .memory import InsufficientSamples
 from .tensor import InvalidConfig
 from .trainer import run_experiment
 
@@ -91,9 +92,8 @@ def write_bundle(outdir, cfg, results, wall_time):
 
 
 def cmd_run(args):
-    overrides = {}
     start = time.time()
-    cfg = _load_config(args.config, overrides)
+    cfg = _load_config(args.config)
     seeds = _parse_seeds(args.seeds) if args.seeds else cfg.train.seeds
     outdir = args.out or cfg.output.directory
     _prepare_outdir(outdir, args.force)
@@ -115,9 +115,9 @@ def cmd_ablate(args):
     base = _load_config(args.config)
     outdir = args.out or base.output.directory
     _prepare_outdir(outdir, args.force)
-    start = time.time()
     rows = []
     for value in values:
+        start = time.time()
         cfg = _load_config(args.config, {args.axis: value})
         use_seeds = seeds or cfg.train.seeds
         results = _run_seeds(cfg, use_seeds)
@@ -190,7 +190,7 @@ def build_parser():
 
     p_ck = sub.add_parser("check", help="run the invariant suite")
     p_ck.add_argument("--inject-fault", action="store_true",
-                      help="negative control: corrupt one backward rule; gradients must FAIL")
+                      help="negative control: add a mis-scaled backward rule; gradients must FAIL")
     p_ck.set_defaults(fn=cmd_check)
     return parser
 
@@ -199,7 +199,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, InvalidConfig) as exc:
+    except (ConfigError, InvalidConfig, InsufficientSamples) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -293,8 +293,10 @@ def validate(cfg):
              "loss.distill_variant", "the task-free variant needs a reservoir buffer")
     _require(l.distill_variant != "tf" or m.head_mode == "single",
              "model.head_mode", "the task-free variant has no task ids at eval")
-    if r.policy == "ring" and l.distill_variant in ("csd", "fsd", "lsd"):
-        _require(l.n_per_task <= r.capacity, "loss.n_per_task",
+    if l.distill_variant in ("csd", "fsd", "lsd"):
+        _require(l.n_per_task <= s.samples_per_task, "loss.n_per_task",
+                 "cannot exceed stream.samples_per_task")
+        _require(r.policy != "ring" or l.n_per_task <= r.capacity, "loss.n_per_task",
                  "cannot exceed replay.capacity")
 
     _require(t.lr > 0, "train.lr", "must be positive")

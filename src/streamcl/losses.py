@@ -25,6 +25,7 @@ from .tensor import (
     clip,
     log_softmax,
     matmul,
+    no_grad,
     pick,
     power,
     softmax,
@@ -90,17 +91,17 @@ def kl_pointwise_distill(teacher_logits, student_logits, tau):
     """
     if tau <= 0:
         raise InvalidConfig("tau must be positive")
-    t = teacher_logits.data if isinstance(teacher_logits, Tensor) else np.asarray(teacher_logits)
+    if not isinstance(teacher_logits, Tensor):
+        teacher_logits = Tensor(teacher_logits)
     if not isinstance(student_logits, Tensor):
         student_logits = Tensor(student_logits)
-    if t.shape != student_logits.shape:
-        raise ShapeMismatch(f"teacher {t.shape} vs student {student_logits.shape}")
-    zt = t / tau
-    zt = zt - zt.max(axis=1, keepdims=True)
-    lt = zt - np.log(np.exp(zt).sum(axis=1, keepdims=True))
+    if teacher_logits.shape != student_logits.shape:
+        raise ShapeMismatch(f"teacher {teacher_logits.shape} vs student {student_logits.shape}")
+    with no_grad():
+        lt = log_softmax(teacher_logits, axis=1, temperature=tau).data
     pt = np.exp(lt)
     ls = log_softmax(student_logits, axis=1, temperature=tau)
-    b = t.shape[0]
+    b = lt.shape[0]
     cross = sum_(Tensor(pt) * ls) * (-1.0 / b)
     entropy = float(np.sum(pt * lt)) / b
     return cross + entropy
@@ -134,47 +135,6 @@ def score_matrix(anchors, tuples, metric):
 def potential_matrix(anchors, tuples, metric, tau):
     """Row-wise potentials: softmax over each anchor's scores."""
     return softmax(score_matrix(anchors, tuples, metric), axis=1, temperature=tau)
-
-
-def potential(anchor, tuple_embs, metric, tau):
-    """Potential vector for a single anchor against an N-tuple."""
-    if isinstance(anchor, Tensor) and anchor.ndim == 1:
-        anchor = anchor.reshape((1, anchor.size))
-    elif not isinstance(anchor, Tensor):
-        anchor = Tensor(np.asarray(anchor).reshape(1, -1))
-    if isinstance(tuple_embs, (list, tuple)):
-        tuple_embs = Tensor(np.stack([t.data if isinstance(t, Tensor) else np.asarray(t)
-                                      for t in tuple_embs]))
-    row = potential_matrix(anchor, tuple_embs, metric, tau)
-    return row.reshape((row.shape[1],))
-
-
-def score_matrix_np(anchors, tuples, metric):
-    anchors = np.asarray(anchors, dtype=np.float64)
-    tuples = np.asarray(tuples, dtype=np.float64)
-    if metric == "l2":
-        a2 = (anchors ** 2).sum(axis=1, keepdims=True)
-        z2 = (tuples ** 2).sum(axis=1, keepdims=True)
-        d2 = np.clip(a2 + z2.T - 2.0 * anchors @ tuples.T, _L2_FLOOR, None)
-        return np.sqrt(d2)
-    an = np.linalg.norm(anchors, axis=1, keepdims=True)
-    zn = np.linalg.norm(tuples, axis=1, keepdims=True)
-    if np.any(an == 0) or np.any(zn == 0):
-        raise ZeroVector("zero embedding under an angle-based metric")
-    cos = (anchors / an) @ (tuples / zn).T
-    if metric == "cosine":
-        return cos
-    if metric == "arccos":
-        return 1.0 - np.arccos(np.clip(cos, -_COS_CLIP, _COS_CLIP)) / np.pi
-    raise InvalidConfig(f"unknown potential metric {metric!r}")
-
-
-def potential_matrix_np(anchors, tuples, metric, tau):
-    """Teacher-side twin of :func:`potential_matrix`, pure numpy."""
-    z = score_matrix_np(anchors, tuples, metric) / tau
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def structurewise_pairs(variant, t):
@@ -226,8 +186,9 @@ def build_tuple_set(snapshot_task, variant, metric, pair_indices, features_by_ta
     """Assemble a tuple set and precompute the teacher potentials.
 
     ``features_by_task`` maps task id to (anchor_features, tuple_features);
-    ``teacher_embed`` maps a feature batch to embedding rows under the
-    frozen snapshot.
+    ``teacher_embed`` maps a feature batch to embedding rows (a tensor or
+    an array) under the frozen snapshot. Teacher potentials go through the
+    same :func:`potential_matrix` as the student's, without a graph.
     """
     tset = DistillTupleSet(snapshot_task, variant, metric,
                            sample_ids=dict(sample_ids or {}))
@@ -236,7 +197,8 @@ def build_tuple_set(snapshot_task, variant, metric, pair_indices, features_by_ta
     def embed(task, feats, which):
         key = (task, which)
         if key not in emb_cache:
-            emb_cache[key] = teacher_embed(feats)
+            out = teacher_embed(feats)
+            emb_cache[key] = out if isinstance(out, Tensor) else Tensor(out)
         return emb_cache[key]
 
     for anchor_task, tuple_task in pair_indices:
@@ -246,10 +208,10 @@ def build_tuple_set(snapshot_task, variant, metric, pair_indices, features_by_ta
         z_feats = features_by_task[tuple_task][1]
         if a_feats.shape[0] == 0 or z_feats.shape[0] == 0:
             continue
-        teacher = potential_matrix_np(embed(anchor_task, a_feats, 0),
-                                      embed(tuple_task, z_feats, 1),
-                                      metric, tau_teacher)
-        tset.pairs.append(DistillPair(anchor_task, tuple_task, a_feats, z_feats, teacher))
+        with no_grad():
+            teacher = potential_matrix(embed(anchor_task, a_feats, 0),
+                                       embed(tuple_task, z_feats, 1), metric, tau_teacher)
+        tset.pairs.append(DistillPair(anchor_task, tuple_task, a_feats, z_feats, teacher.data))
     return tset
 
 

@@ -1,9 +1,8 @@
-"""Replay storage: per-task ring buffers, a reservoir buffer, snapshots.
+"""Replay storage: per-task ring buffers, a reservoir buffer, tuple selection.
 
 The ring buffer keeps a FIFO window of fixed capacity per task (task-aware
 setting); the reservoir buffer keeps a uniform sample of the whole stream
-(task-free setting). Classifier snapshots are deep value copies taken at
-task boundaries and serve as frozen distillation teachers.
+(task-free setting).
 """
 
 from __future__ import annotations
@@ -124,11 +123,6 @@ class ReservoirBuffer:
         return sorted({y for _, y, _, _ in self._slots})
 
 
-def buffer_insert(buffer, sample, rng=None):
-    x, y, task_id, index = sample
-    buffer.insert(x, y, task_id, index, rng=rng)
-
-
 def _to_batch(items, with_replacement=False):
     xs = np.stack([it[0] for it in items])
     ys = np.array([it[1] for it in items], dtype=np.int64)
@@ -156,7 +150,7 @@ def select_cross_task_tuples(buffer, n_per_task, rng):
         items = buffer.task_items(t)
         if len(items) < n_per_task:
             raise InsufficientSamples(
-                f"task {t} stores {len(items)} samples, need {n_per_task}")
+                f"task {t} stores {len(items)} samples, loss.n_per_task needs {n_per_task}")
         chosen = rng.choice(len(items), size=n_per_task, replace=False)
         selection[t] = _to_batch([items[i] for i in chosen])
     return selection
@@ -192,29 +186,6 @@ def select_pseudo_task_tuples(buffer, class_order, new_task_threshold,
         if a_items:
             anchors[p] = _to_batch(a_items)
     return anchors, tuples
-
-
-class ClassifierSnapshot:
-    """Frozen value copy of a classifier's state at a task boundary."""
-
-    def __init__(self, task_id, state):
-        self.task_id = task_id
-        self.state = {k: np.array(v, copy=True) for k, v in state.items()}
-
-    def state_bytes(self):
-        return b"".join(self.state[k].tobytes() for k in sorted(self.state))
-
-
-def store_snapshot(classifier, task_id):
-    return ClassifierSnapshot(task_id, classifier.state())
-
-
-@dataclass
-class DistillCache:
-    """Snapshot plus the tuple set built from it; they expire together."""
-
-    snapshot: ClassifierSnapshot
-    tuple_set: object
 
 
 def dump_buffer(buffer, path):

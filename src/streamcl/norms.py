@@ -60,6 +60,19 @@ class RunningStats:
         self.mean = (1.0 - m) * self.mean + m * batch_mean
         self.var = (1.0 - m) * self.var + m * batch_var
 
+    def batch_stats(self, x, training):
+        """Per-channel moments of ``x``: batch moments plus a running update
+        in train mode, the running estimates in eval mode."""
+        if not training:
+            return (Tensor(self.mean.reshape(1, -1, 1, 1)),
+                    Tensor(self.var.reshape(1, -1, 1, 1)))
+        mean, var = moments(x, (0, 2, 3))
+        self.update(mean.data.reshape(-1), var.data.reshape(-1))
+        return mean, var
+
+    def buffers(self, prefix):
+        return {f"{prefix}.running_mean": self.mean, f"{prefix}.running_var": self.var}
+
 
 class BlendWeights:
     """Trainable logits whose softmax blends normalization statistics."""
@@ -134,12 +147,7 @@ class BatchNorm(NormLayer):
 
     def __call__(self, x):
         _check_input(x, self.channels)
-        if self.training:
-            mean, var = moments(x, (0, 2, 3))
-            self.stats.update(mean.data.reshape(-1), var.data.reshape(-1))
-        else:
-            mean = Tensor(self.stats.mean.reshape(1, -1, 1, 1))
-            var = Tensor(self.stats.var.reshape(1, -1, 1, 1))
+        mean, var = self.stats.batch_stats(x, self.training)
         xhat = (x - mean) * power(var + self.epsilon, -0.5)
         return self.affine.apply(xhat) if self.affine else xhat
 
@@ -147,8 +155,7 @@ class BatchNorm(NormLayer):
         return self.affine.params() if self.affine else []
 
     def buffers(self):
-        return {f"{self.prefix}.running_mean": self.stats.mean,
-                f"{self.prefix}.running_var": self.stats.var}
+        return self.stats.buffers(self.prefix)
 
 
 class InstanceNorm(NormLayer):
@@ -208,18 +215,6 @@ class GroupNorm(NormLayer):
         return self.affine.params() if self.affine else []
 
 
-def spatial_norm(x, kind, groups=1, channels=None, epsilon=1e-5):
-    """One-shot IN/LN/GN application with identity affine."""
-    channels = x.shape[1] if channels is None else channels
-    if kind == "in":
-        return InstanceNorm(channels, epsilon, affine=False)(x)
-    if kind == "ln":
-        return LayerNorm(channels, epsilon, affine=False)(x)
-    if kind == "gn":
-        return GroupNorm(channels, groups, epsilon, affine=False)(x)
-    raise InvalidConfig(f"unknown spatial norm kind {kind!r}")
-
-
 class BlendedSpatialNorm(NormLayer):
     """Learned IN/LN mixture: softmax weights blend the means and, with a
     second weight pair, the variances before a shared affine transform."""
@@ -265,12 +260,7 @@ class SwitchableNorm(NormLayer):
 
     def __call__(self, x):
         _check_input(x, self.channels)
-        if self.training:
-            mean_bn, var_bn = moments(x, (0, 2, 3))
-            self.stats.update(mean_bn.data.reshape(-1), var_bn.data.reshape(-1))
-        else:
-            mean_bn = Tensor(self.stats.mean.reshape(1, -1, 1, 1))
-            var_bn = Tensor(self.stats.var.reshape(1, -1, 1, 1))
+        mean_bn, var_bn = self.stats.batch_stats(x, self.training)
         mean_in, var_in = moments(x, (2, 3))
         mean_ln, var_ln = moments(x, (1, 2, 3))
         w = self.blend.mean_weights()
@@ -284,8 +274,7 @@ class SwitchableNorm(NormLayer):
         return self.blend.params() + self.affine.params()
 
     def buffers(self):
-        return {f"{self.prefix}.running_mean": self.stats.mean,
-                f"{self.prefix}.running_var": self.stats.var}
+        return self.stats.buffers(self.prefix)
 
 
 class ContinualNorm(NormLayer):

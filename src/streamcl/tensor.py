@@ -43,10 +43,6 @@ class NondeterministicFunction(RuntimeError):
     """Two forward evaluations of the same function disagreed."""
 
 
-# Negative-control hook for the check suite: when True the multiply backward
-# rule is deliberately mis-scaled so gradient checks must fail.
-corrupt_mul_backward = False
-
 # Per-thread so parallel experiment seeds cannot clobber each other's mode.
 _grad_state = threading.local()
 
@@ -270,9 +266,7 @@ def mul(a, b):
     _check_binary(a.data, b.data)
 
     def backward(g):
-        scale = 1.001 if corrupt_mul_backward else 1.0
-        return (_unbroadcast(g * b.data, a.data.shape) * scale,
-                _unbroadcast(g * a.data, b.data.shape) * scale)
+        return _unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)
 
     return _from_op(a.data * b.data, (a, b), backward)
 
@@ -313,26 +307,6 @@ def power(a, p):
         return (g * p * a.data ** (p - 1.0),)
 
     return _from_op(a.data ** p, (a,), backward)
-
-
-_ELEMENTWISE = {"add": add, "sub": sub, "mul": mul, "scalar_mul": mul,
-                "relu": relu, "exp": exp, "log": log, "neg": neg}
-
-
-def elementwise(op_kind, a, b=None):
-    """Dispatch by name; binary kinds require ``b`` (tensor or scalar)."""
-    if op_kind not in _ELEMENTWISE:
-        raise InvalidConfig(f"unknown elementwise op {op_kind!r}")
-    fn = _ELEMENTWISE[op_kind]
-    if op_kind in ("add", "sub", "mul", "scalar_mul"):
-        if b is None:
-            raise InvalidConfig(f"{op_kind} needs a second operand")
-        if op_kind == "scalar_mul" and isinstance(b, Tensor) and b.size != 1:
-            raise ShapeMismatch("scalar_mul needs a scalar second operand")
-        return fn(a, b)
-    if b is not None:
-        raise InvalidConfig(f"{op_kind} is unary")
-    return fn(a)
 
 
 # reductions and shape ops -----------------------------------------------
@@ -562,14 +536,6 @@ def bilinear_up2x(x):
     return _from_op(out, (x,), backward)
 
 
-def resample(x, mode):
-    if mode == "maxpool2x2":
-        return maxpool2x2(x)
-    if mode == "bilinear_up2x":
-        return bilinear_up2x(x)
-    raise InvalidConfig(f"unknown resample mode {mode!r}")
-
-
 # channel split / concat ---------------------------------------------------
 
 def split_halves(x):
@@ -607,16 +573,6 @@ def concat_channels(a, b):
         return g[:, :ca].copy(), g[:, ca:].copy()
 
     return _from_op(np.concatenate([a.data, b.data], axis=1), (a, b), backward)
-
-
-def channel_split_concat(x, action, other=None):
-    if action == "split_halves":
-        return split_halves(x)
-    if action == "concat":
-        if other is None:
-            raise InvalidConfig("concat needs two tensors")
-        return concat_channels(x, other)
-    raise InvalidConfig(f"unknown action {action!r}")
 
 
 # softmax family -----------------------------------------------------------
@@ -676,24 +632,6 @@ class FdReport:
     passed: bool
     checked: int
     worst: tuple
-
-
-def backward_sweep(loss):
-    """Reverse sweep from a scalar loss; returns {parameter: gradient}."""
-    loss = _coerce(loss)
-    loss.backward()
-    grads = {}
-    stack = [loss]
-    seen = set()
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if isinstance(node, Parameter) and node.grad is not None:
-            grads[node] = node.grad
-        stack.extend(node._parents)
-    return grads
 
 
 def finite_difference_check(f, params, step=1e-5, tol=1e-4):

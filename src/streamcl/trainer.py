@@ -14,6 +14,7 @@ the loss index rules); accuracy-matrix rows stay 0-based.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 from dataclasses import dataclass, field
 
@@ -22,6 +23,7 @@ import numpy as np
 from . import losses
 from .encoder import MultiScaleEncoder, StoredPyramidEncoder
 from .losses import (
+    DistillTupleSet,
     LossWeights,
     build_tuple_set,
     structurewise_pairs,
@@ -29,13 +31,11 @@ from .losses import (
     total_objective,
 )
 from .memory import (
-    DistillCache,
     ReservoirBuffer,
     RingBuffer,
     buffer_sample,
     select_cross_task_tuples,
     select_pseudo_task_tuples,
-    store_snapshot,
 )
 from .norms import make_norm
 from .streams import AccuracyMatrix, augment_batch, compute_metrics, generate_stream
@@ -131,6 +131,17 @@ class Classifier:
             n.eval()
         return self
 
+    @contextlib.contextmanager
+    def eval_mode(self):
+        """Eval-mode block; the previous mode comes back on exit."""
+        was_training = self.training
+        self.eval()
+        try:
+            yield
+        finally:
+            if was_training:
+                self.train()
+
     def penultimate(self, h):
         if self.arch == "full":
             y = relu(self.norm1(conv2d(h, self.conv1, stride=2, padding=1)))
@@ -151,29 +162,14 @@ class Classifier:
         Gradients still flow; only the normalization statistics source is
         pinned so cached teacher potentials stay comparable.
         """
-        was_training = self.training
-        self.eval()
-        try:
-            h = feats if isinstance(feats, Tensor) else Tensor(feats)
-            out = self.forward(h) if self.embedding == "logits" else self.penultimate(h)
-        finally:
-            if was_training:
-                self.train()
-        return out
-
-    def embed_np(self, feats):
-        with no_grad():
-            return self.embed(feats).data
+        h = feats if isinstance(feats, Tensor) else Tensor(feats)
+        with self.eval_mode():
+            return self.forward(h) if self.embedding == "logits" else self.penultimate(h)
 
     def logits_np(self, feats):
-        was_training = self.training
-        self.eval()
-        try:
-            with no_grad():
-                return self.forward(Tensor(feats)).data
-        finally:
-            if was_training:
-                self.train()
+        """Eval-mode logits as a plain array, with no graph recorded."""
+        with self.eval_mode(), no_grad():
+            return self.forward(Tensor(feats)).data
 
     def state(self):
         out = {p.name: p.data for p in self.params()}
@@ -210,8 +206,8 @@ class ExperimentState:
     buffer: object
     matrix: AccuracyMatrix
     rngs: dict
-    distill_cache: DistillCache | None = None
     teacher: Classifier | None = None
+    tuple_set: DistillTupleSet | None = None
     class_order: list = field(default_factory=list)
     pseudo_level: int = 0
     losses_seen: list = field(default_factory=list)
@@ -349,12 +345,9 @@ class Trainer:
                     h_rep, rbatch, teacher_logits = rep
                     rep_logits = state.classifier.forward(Tensor(h_rep))
                     rep_ys, rep_tasks = rbatch.ys, rbatch.task_ids
-                tuple_set = None
-                if state.distill_cache is not None and cfg.loss.distill_variant != "none":
-                    tuple_set = state.distill_cache.tuple_set
                 loss, _parts = total_objective(
                     state.classifier.forward(Tensor(h_cur)), batch.ys,
-                    rep_logits, rep_ys, teacher_logits, tuple_set,
+                    rep_logits, rep_ys, teacher_logits, state.tuple_set,
                     state.classifier.embed, weights,
                     ce_fn=lambda lo, ys: self._ce(state, lo, ys, cur_tasks),
                     replay_ce_fn=lambda lo, ys: self._ce(state, lo, ys, rep_tasks))
@@ -383,9 +376,8 @@ class Trainer:
         cfg = self.cfg
         if cfg.loss.distill_variant == "tf" or not self._needs_snapshot():
             return state
-        snapshot = store_snapshot(state.classifier, finished_task_id)
         state.teacher = state.classifier.clone().eval()
-        tuple_set = None
+        state.tuple_set = None
         if cfg.loss.distill_variant != "none":
             selection = select_cross_task_tuples(state.buffer, cfg.loss.n_per_task,
                                                  state.rngs["buffer"])
@@ -395,11 +387,10 @@ class Trainer:
                 feats[t] = (h, h)
                 ids[t] = batch.indices
             pairs = structurewise_pairs(cfg.loss.distill_variant, finished_task_id + 1)
-            tuple_set = build_tuple_set(finished_task_id, cfg.loss.distill_variant,
-                                        cfg.loss.potential_metric, pairs, feats,
-                                        state.teacher.embed_np,
-                                        cfg.loss.tau_teacher, sample_ids=ids)
-        state.distill_cache = DistillCache(snapshot, tuple_set)
+            state.tuple_set = build_tuple_set(finished_task_id, cfg.loss.distill_variant,
+                                              cfg.loss.potential_metric, pairs, feats,
+                                              state.teacher.embed,
+                                              cfg.loss.tau_teacher, sample_ids=ids)
         return state
 
     def _maybe_pseudo_boundary(self, state):
@@ -411,9 +402,8 @@ class Trainer:
         if level <= state.pseudo_level:
             return
         state.pseudo_level = level
-        snapshot = store_snapshot(state.classifier, level)
         state.teacher = state.classifier.clone().eval()
-        tuple_set = None
+        state.tuple_set = None
         if cfg.loss.distill_variant == "tf":
             anchors, tuples = select_pseudo_task_tuples(
                 state.buffer, state.class_order, cfg.loss.new_task_classes,
@@ -424,37 +414,30 @@ class Trainer:
                 z = _features(state, tuples[p].xs, tuples[p].indices) if p in tuples else np.zeros((0,))
                 feats[p] = (a, z)
             pairs = [(j - 1, j) for j in tf_pair_indices(u, cfg.loss.new_task_classes)]
-            tuple_set = build_tuple_set(level, "tf", cfg.loss.potential_metric, pairs,
-                                        feats, state.teacher.embed_np, cfg.loss.tau_teacher)
-        state.distill_cache = DistillCache(snapshot, tuple_set)
+            state.tuple_set = build_tuple_set(level, "tf", cfg.loss.potential_metric, pairs,
+                                              feats, state.teacher.embed, cfg.loss.tau_teacher)
 
     # evaluation -----------------------------------------------------------
 
     def evaluate(self, state, upto_task):
         """Fill matrix row ``upto_task`` (0-based); never mutates state."""
         clf = state.classifier
-        was_training = clf.training
-        clf.eval()
         class_sets = self._class_sets(state.stream)
-        try:
-            with no_grad():
-                for j in range(upto_task + 1):
-                    test = state.stream.tasks[j].test
-                    correct = 0
-                    for start in range(0, len(test), 100):
-                        sl = slice(start, start + 100)
-                        h = _features(state, test.xs[sl], test.indices[sl])
-                        logits = clf.forward(Tensor(h)).data
-                        if self.cfg.model.head_mode == "multi":
-                            cols = np.asarray(class_sets[j + 1])
-                            pred = cols[logits[:, cols].argmax(axis=1)]
-                        else:
-                            pred = logits.argmax(axis=1)
-                        correct += int(np.sum(pred == test.ys[sl]))
-                    state.matrix.set_entry(upto_task, j, correct / len(test))
-        finally:
-            if was_training:
-                clf.train()
+        with clf.eval_mode(), no_grad():
+            for j in range(upto_task + 1):
+                test = state.stream.tasks[j].test
+                correct = 0
+                for start in range(0, len(test), 100):
+                    sl = slice(start, start + 100)
+                    h = _features(state, test.xs[sl], test.indices[sl])
+                    logits = clf.forward(Tensor(h)).data
+                    if self.cfg.model.head_mode == "multi":
+                        cols = np.asarray(class_sets[j + 1])
+                        pred = cols[logits[:, cols].argmax(axis=1)]
+                    else:
+                        pred = logits.argmax(axis=1)
+                    correct += int(np.sum(pred == test.ys[sl]))
+                state.matrix.set_entry(upto_task, j, correct / len(test))
         return state.matrix.row(upto_task)
 
 

@@ -17,7 +17,7 @@ from streamcl.config import parse_config_text
 from streamcl.losses import (
     build_tuple_set,
     kl_pointwise_distill,
-    potential_matrix_np,
+    potential_matrix,
     structurewise_distill,
     structurewise_pairs,
     tf_pair_indices,
@@ -72,7 +72,7 @@ batch = 4
     for t in (0, 1):
         trainer.train_task(state, t)
         trainer.end_of_task(state, t + 1)
-    assert state.distill_cache.tuple_set.pairs, "need a live structure-wise term"
+    assert state.tuple_set.pairs, "need a live structure-wise term"
     batch = next(state.stream.train_batches(2, 4))
     with T.no_grad():
         h_cur = state.encoder.features(Tensor(batch.xs), "top_down").data
@@ -89,7 +89,7 @@ batch = 4
         loss, parts = total_objective(
             state.classifier.forward(Tensor(h_cur)), batch.ys,
             state.classifier.forward(Tensor(h_rep)), rep.ys,
-            teacher_logits, state.distill_cache.tuple_set,
+            teacher_logits, state.tuple_set,
             state.classifier.embed, weights)
         assert set(parts) == {"ce", "er", "dctn", "dcsd"}
         return loss
@@ -212,17 +212,20 @@ class TestCriterion3Stationarity:
 class TestCriterion4Potentials:
     def test_properties(self):
         rng = np.random.default_rng(3)
+
+        def potentials(a, z, metric, tau):
+            return potential_matrix(Tensor(a), Tensor(z), metric, tau).data
+
         for metric in ("cosine", "l2", "arccos"):
             for tau in (0.0001, 1.0, 2.0):
-                p = potential_matrix_np(rng.normal(size=(6, 8)), rng.normal(size=(5, 8)),
-                                        metric, tau)
+                p = potentials(rng.normal(size=(6, 8)), rng.normal(size=(5, 8)), metric, tau)
                 assert p.min() >= 0 and np.abs(p.sum(axis=1) - 1).max() <= 1e-9
         a, z = rng.normal(size=(4, 8)), rng.normal(size=(6, 8))
         sa = a * rng.uniform(0.1, 9, size=(4, 1))
         sz = z * rng.uniform(0.1, 9, size=(6, 1))
         for metric in ("cosine", "arccos"):
-            np.testing.assert_allclose(potential_matrix_np(sa, sz, metric, 1.0),
-                                       potential_matrix_np(a, z, metric, 1.0), atol=1e-9)
+            np.testing.assert_allclose(potentials(sa, sz, metric, 1.0),
+                                       potentials(a, z, metric, 1.0), atol=1e-9)
 
         # t = 2: the consecutive-variant sum is empty, hence exactly zero
         assert structurewise_pairs("csd", 2) == []

@@ -1,10 +1,12 @@
 """Config grammar, validation, CLI commands, output bundles."""
 
 import os
+import types
 
 import numpy as np
 import pytest
 
+import streamcl.cli as cli
 from streamcl.cli import main
 from streamcl.config import (
     ExperimentConfig,
@@ -91,6 +93,17 @@ class TestParsing:
         with pytest.raises(InvalidValue):
             parse_config_text("[encoder]\npyramid_file = x.bin\n")  # needs augment none
 
+    def test_n_per_task_above_stream_length_rejected(self, tmp_path, capsys):
+        text = "[stream]\nsamples_per_task = 4\n[loss]\nn_per_task = 10\n"
+        with pytest.raises(InvalidValue) as err:
+            parse_config_text(text)
+        assert err.value.path == "loss.n_per_task"
+        parse_config_text(text + "distill_variant = tf\n[replay]\npolicy = reservoir\n")
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(text)
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: loss.n_per_task")
+
 
 class TestCmdRun:
     def test_fanout_and_aggregate(self, tmp_path):
@@ -148,6 +161,18 @@ class TestCmdRun:
         assert main(["run", "--config", str(cfg_path), "--out", str(single)]) == 0
         assert (out / "metrics.txt").read_bytes() == (single / "metrics.txt").read_bytes()
 
+    def test_reservoir_tuple_shortfall_exits_2(self, tmp_path, capsys):
+        # a reservoir keeps no fixed share per task, so whether a stored task
+        # still holds n_per_task samples at a boundary depends on the draws
+        text = TINY_FILE.replace("tasks = 2", "tasks = 3")
+        text = text.replace("capacity = 15", "policy = reservoir\ncapacity = 15")
+        text = text.replace("distill_variant = none", "distill_variant = csd")
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(text.replace("seeds = 0,1", "seeds = 0"))
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: task ") and "loss.n_per_task needs 5" in err
+
     def test_seed_override_flag(self, tmp_path):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(TINY_FILE)
@@ -168,6 +193,24 @@ class TestCmdAblate:
         assert lines[0] == "value,acc_mean,acc_std,fm_mean,fm_std,la_mean,la_std"
         assert [l.split(",")[0] for l in lines[1:]] == ["bn", "cn", "spn"]
         assert sorted(os.listdir(out / "bn")) == ["manifest.txt", "matrix_0.csv", "metrics.txt"]
+
+    def test_manifest_wall_time_is_per_value(self, tmp_path, monkeypatch):
+        clock = [1000.0]
+        run_seeds = cli._run_seeds
+
+        def five_second_run(cfg, seeds):
+            clock[0] += 5.0
+            return run_seeds(cfg, seeds)
+
+        monkeypatch.setattr(cli, "time", types.SimpleNamespace(time=lambda: clock[0]))
+        monkeypatch.setattr(cli, "_run_seeds", five_second_run)
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(TINY_FILE.replace("seeds = 0,1", "seeds = 0"))
+        out = tmp_path / "ab"
+        assert main(["ablate", "--config", str(cfg_path), "--axis", "model.norm_kind",
+                     "--values", "bn,in,ln", "--out", str(out)]) == 0
+        for value in ("bn", "in", "ln"):
+            assert "wall_time_s = 5.000\n" in (out / value / "manifest.txt").read_text()
 
     def test_unknown_axis_rejected(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"

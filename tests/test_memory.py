@@ -1,22 +1,21 @@
-"""Replay buffers, tuple selection, snapshots."""
+"""Replay buffers, tuple selection, teacher snapshots."""
 
 import numpy as np
 import pytest
 
 from streamcl.encoder import load_pyramid_file
+from streamcl.losses import build_tuple_set
 from streamcl.memory import (
-    ClassifierSnapshot,
     EmptyBuffer,
     InsufficientSamples,
     ReservoirBuffer,
     RingBuffer,
-    buffer_insert,
     buffer_sample,
     dump_buffer,
     select_cross_task_tuples,
     select_pseudo_task_tuples,
-    store_snapshot,
 )
+from streamcl.trainer import Classifier
 
 
 def fill(buffer, n, task_id=0, rng=None, start=0):
@@ -162,28 +161,28 @@ class TestTupleSelection:
         assert set(np.unique(tuples[2].ys)) <= {4, 5, 6, 7}
 
 
-class _FakeClassifier:
-    def __init__(self):
-        self._state = {"w": np.arange(4.0), "b": np.zeros(2)}
-
-    def state(self):
-        return self._state
+def _classifier():
+    return Classifier((2, 4, 4), 3, "spn", 2, 0.1, 1e-5, np.random.default_rng(0),
+                      feature_channels=4)
 
 
 class TestSnapshot:
+    """The teacher snapshot is a ``Classifier.clone`` taken at a boundary."""
+
     def test_mutation_after_snapshot_does_not_leak(self):
-        clf = _FakeClassifier()
-        snap = store_snapshot(clf, 1)
-        clf._state["w"][:] = 99.0
-        np.testing.assert_array_equal(snap.state["w"], [0, 1, 2, 3])
+        clf = _classifier()
+        snap = clf.clone()
+        before = clf.head_w.data.copy()
+        clf.head_w.data[:] = 99.0
+        np.testing.assert_array_equal(snap.head_w.data, before)
 
     def test_two_snapshots_of_untouched_model_identical(self):
-        clf = _FakeClassifier()
-        a, b = store_snapshot(clf, 1), store_snapshot(clf, 1)
+        clf = _classifier()
+        a, b = clf.clone(), clf.clone()
         assert a.state_bytes() == b.state_bytes()
 
     def test_task_id_recorded(self):
-        assert ClassifierSnapshot(3, {"w": np.zeros(1)}).task_id == 3
+        assert build_tuple_set(3, "csd", "cosine", [], {}, None, 1.0).snapshot_task == 3
 
 
 class TestDump:
@@ -204,7 +203,7 @@ class TestDump:
             dump_buffer(RingBuffer(5), tmp_path / "x.bin")
 
 
-def test_buffer_insert_dispatcher():
+def test_reservoir_insert_stores_sample():
     buf = ReservoirBuffer(5)
-    buffer_insert(buf, (np.zeros(1), 3, 1, 0), rng=np.random.default_rng(11))
+    buf.insert(np.zeros(1), 3, 1, 0, rng=np.random.default_rng(11))
     assert len(buf) == 1 and buf.items()[0][1] == 3

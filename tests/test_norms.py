@@ -100,16 +100,15 @@ class TestSpatialNorms:
             b = layer.eval()(x)
             np.testing.assert_array_equal(a.data, b.data)
 
-    def test_spatial_norm_helper_dispatch(self):
-        from streamcl.norms import spatial_norm
+    def test_make_norm_dispatch(self):
         rng = np.random.default_rng(30)
         x = Tensor(rng.normal(size=(2, 4, 3, 3)))
-        np.testing.assert_array_equal(spatial_norm(x, "in").data,
+        np.testing.assert_array_equal(make_norm("in", 4)(x).data,
                                       InstanceNorm(4, affine=False)(x).data)
-        np.testing.assert_array_equal(spatial_norm(x, "gn", groups=2).data,
+        np.testing.assert_array_equal(make_norm("gn", 4, groups=2)(x).data,
                                       GroupNorm(4, 2, affine=False)(x).data)
         with pytest.raises(InvalidConfig):
-            spatial_norm(x, "bn")
+            make_norm("spatial", 4)
 
 
 class TestBlendedSpatialNorm:

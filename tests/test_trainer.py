@@ -6,7 +6,7 @@ import pytest
 import streamcl.tensor as T
 from streamcl.config import parse_config_text
 from streamcl.encoder import save_pyramid_file
-from streamcl.losses import ce_loss
+from streamcl.losses import POTENTIAL_METRICS, ce_loss, potential_matrix
 from streamcl.memory import buffer_sample
 from streamcl.streams import augment_batch
 from streamcl.tensor import Tensor
@@ -46,7 +46,7 @@ class TestTrainTask:
         trainer = Trainer(tiny_cfg(), seed=0)
         state = trainer.build_state()
         trainer.train_task(state, 0)
-        assert state.distill_cache is None
+        assert state.teacher is None and state.tuple_set is None
         assert len(state.losses_seen) == 4 * 2  # 4 batches x 2 inner updates
         assert len(state.buffer) == 20  # ring capacity; FIFO keeps the newest
         kept = sorted(it[3] for it in state.buffer.items())
@@ -98,9 +98,9 @@ class TestEndOfTask:
         state = trainer.build_state()
         trainer.train_task(state, 0)
         trainer.end_of_task(state, 1)
-        assert state.distill_cache is not None
-        assert state.distill_cache.snapshot.task_id == 1
-        assert state.distill_cache.tuple_set.pairs == []  # needs two stored tasks
+        assert state.teacher is not None
+        assert state.tuple_set.snapshot_task == 1
+        assert state.tuple_set.pairs == []  # needs two stored tasks
 
     def test_after_task3_tuples_cover_all_tasks(self):
         trainer = Trainer(tiny_cfg(), seed=1)
@@ -108,10 +108,10 @@ class TestEndOfTask:
         for t in range(3):
             trainer.train_task(state, t)
             trainer.end_of_task(state, t + 1)
-        ids = state.distill_cache.tuple_set.sample_ids
+        ids = state.tuple_set.sample_ids
         assert set(ids) == {1, 2, 3}
         assert all(len(v) == 5 for v in ids.values())
-        pairs = [(p.anchor_task, p.tuple_task) for p in state.distill_cache.tuple_set.pairs]
+        pairs = [(p.anchor_task, p.tuple_task) for p in state.tuple_set.pairs]
         assert pairs == [(1, 2), (2, 3)]
 
     def test_snapshot_diverges_from_live_after_update(self):
@@ -119,8 +119,7 @@ class TestEndOfTask:
         state = trainer.build_state()
         trainer.train_task(state, 0)
         trainer.end_of_task(state, 1)
-        snap_bytes = b"".join(state.distill_cache.snapshot.state[k].tobytes()
-                              for k in sorted(state.distill_cache.snapshot.state))
+        snap_bytes = state.teacher.state_bytes()
         trainer.train_task(state, 1)
         assert state.classifier.state_bytes() != snap_bytes
 
@@ -129,10 +128,30 @@ class TestEndOfTask:
         state = trainer.build_state()
         trainer.train_task(state, 0)
         trainer.end_of_task(state, 1)
-        before = {k: v.copy() for k, v in state.distill_cache.snapshot.state.items()}
+        before = {k: v.copy() for k, v in state.teacher.state().items()}
         trainer.train_task(state, 1)
-        for k, v in state.distill_cache.snapshot.state.items():
+        for k, v in state.teacher.state().items():
             np.testing.assert_array_equal(v, before[k])
+
+    @pytest.mark.parametrize("metric", POTENTIAL_METRICS)
+    def test_teacher_potentials_equal_live_tensor_path(self, metric):
+        # at the boundary the live classifier holds the teacher's weights, so
+        # the cached potentials must be exactly what the student path computes
+        trainer = Trainer(tiny_cfg(loss=f"potential_metric = {metric}"), seed=1)
+        state = trainer.build_state()
+        checked = 0
+        for t in range(3):
+            trainer.train_task(state, t)
+            trainer.end_of_task(state, t + 1)
+            clf = state.classifier
+            for pair in state.tuple_set.pairs:
+                with T.no_grad():
+                    live = potential_matrix(clf.embed(pair.anchor_features),
+                                            clf.embed(pair.tuple_features),
+                                            metric, trainer.cfg.loss.tau_teacher)
+                assert np.array_equal(pair.teacher_potential, live.data)
+                checked += 1
+        assert checked == 3  # (1,2) after task 2; (1,2) and (2,3) after task 3
 
 
 class TestEvaluate:
@@ -270,8 +289,8 @@ class TestModes:
         assert state.pseudo_level == 1  # two classes seen -> one pseudo-task
         trainer.train_task(state, 1)
         assert state.pseudo_level == 2
-        assert state.distill_cache is not None
-        pairs = [(p.anchor_task, p.tuple_task) for p in state.distill_cache.tuple_set.pairs]
+        assert state.teacher is not None
+        pairs = [(p.anchor_task, p.tuple_task) for p in state.tuple_set.pairs]
         assert pairs == [(1, 2)]
         trainer.train_task(state, 2)
         assert state.pseudo_level == 3
