@@ -10,8 +10,12 @@ by the MUFAN_THREADS environment variable (default 1).
 from __future__ import annotations
 
 import argparse
+import contextlib
+import fnmatch
 import os
+import shutil
 import sys
+import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -58,10 +62,40 @@ def _run_seeds(cfg, seeds):
         return list(pool.map(lambda s: run_experiment(cfg, s), seeds))
 
 
-def _prepare_outdir(outdir, force):
-    if os.path.isdir(outdir) and os.listdir(outdir) and not force:
-        raise ConfigError(f"{outdir} is not empty; pass --force to overwrite")
+_BUNDLE_FILES = ("matrix_*.csv", "metrics.txt", "manifest.txt", "ablation.csv")
+
+
+def _is_bundle_entry(path):
+    """A file that a bundle writes, or an ablate value's sub-bundle directory."""
+    if os.path.isdir(path) and not os.path.islink(path):
+        return os.path.isfile(os.path.join(path, "manifest.txt")) and all(
+            _is_bundle_entry(os.path.join(path, name)) for name in os.listdir(path))
+    return any(fnmatch.fnmatch(os.path.basename(path), p) for p in _BUNDLE_FILES)
+
+
+@contextlib.contextmanager
+def _staged_outdir(outdir, force):
+    """Yield a stage inside ``outdir``; once the block succeeds its entries replace the old ones.
+
+    A failure inside the block leaves ``outdir`` as it was. ``--force`` only
+    replaces bundle entries, so an output directory holding others is refused.
+    """
     os.makedirs(outdir, exist_ok=True)
+    old = [os.path.join(outdir, name) for name in sorted(os.listdir(outdir))]
+    if old and not force:
+        raise ConfigError(f"{outdir} is not empty; pass --force to overwrite")
+    foreign = [path for path in old if not _is_bundle_entry(path)]
+    if foreign:
+        raise ConfigError(f"{foreign[0]} is not part of a result bundle; --force will not delete it")
+    with tempfile.TemporaryDirectory(prefix=".streamcl-", dir=outdir) as stage:
+        yield stage
+        for path in old:
+            if os.path.isdir(path) and not os.path.islink(path):
+                shutil.rmtree(path)
+            else:
+                os.remove(path)
+        for name in os.listdir(stage):
+            os.rename(os.path.join(stage, name), os.path.join(outdir, name))
 
 
 def _metrics_record(results):
@@ -96,9 +130,9 @@ def cmd_run(args):
     cfg = _load_config(args.config)
     seeds = _parse_seeds(args.seeds) if args.seeds else cfg.train.seeds
     outdir = args.out or cfg.output.directory
-    _prepare_outdir(outdir, args.force)
-    results = _run_seeds(cfg, seeds)
-    write_bundle(outdir, cfg, results, time.time() - start)
+    with _staged_outdir(outdir, args.force) as stage:
+        results = _run_seeds(cfg, seeds)
+        write_bundle(stage, cfg, results, time.time() - start)
     for r in results:
         print(f"seed {r.seed}: acc={r.metrics['acc']:.4f} fm={r.metrics['fm']:+.4f} "
               f"la={r.metrics['la']:.4f}")
@@ -114,36 +148,34 @@ def cmd_ablate(args):
     seeds = _parse_seeds(args.seeds) if args.seeds else None
     base = _load_config(args.config)
     outdir = args.out or base.output.directory
-    _prepare_outdir(outdir, args.force)
     rows = []
-    for value in values:
-        start = time.time()
-        cfg = _load_config(args.config, {args.axis: value})
-        use_seeds = seeds or cfg.train.seeds
-        results = _run_seeds(cfg, use_seeds)
-        sub = os.path.join(outdir, value.replace("/", "_"))
-        os.makedirs(sub, exist_ok=True)
-        write_bundle(sub, cfg, results, time.time() - start)
-        row = {"value": value}
-        for name in METRIC_NAMES:
-            vals = np.array([r.metrics[name] for r in results])
-            row[f"{name}_mean"] = vals.mean()
-            row[f"{name}_std"] = vals.std(ddof=1) if len(vals) >= 2 else float("nan")
-        rows.append(row)
-    table = os.path.join(outdir, "ablation.csv")
-    with open(table, "w", encoding="ascii") as fh:
-        fh.write("value,acc_mean,acc_std,fm_mean,fm_std,la_mean,la_std\n")
-        for row in rows:
-            cells = [row["value"]]
+    with _staged_outdir(outdir, args.force) as stage:
+        for value in values:
+            start = time.time()
+            cfg = _load_config(args.config, {args.axis: value})
+            results = _run_seeds(cfg, seeds or cfg.train.seeds)
+            sub = os.path.join(stage, value.replace("/", "_"))
+            os.makedirs(sub, exist_ok=True)
+            write_bundle(sub, cfg, results, time.time() - start)
+            row = {"value": value}
             for name in METRIC_NAMES:
-                cells.append(f"{row[f'{name}_mean']:.6f}")
-                std = row[f"{name}_std"]
-                cells.append("" if np.isnan(std) else f"{std:.6f}")
-            fh.write(",".join(cells) + "\n")
+                vals = np.array([r.metrics[name] for r in results])
+                row[f"{name}_mean"] = vals.mean()
+                row[f"{name}_std"] = vals.std(ddof=1) if len(vals) >= 2 else float("nan")
+            rows.append(row)
+        with open(os.path.join(stage, "ablation.csv"), "w", encoding="ascii") as fh:
+            fh.write("value,acc_mean,acc_std,fm_mean,fm_std,la_mean,la_std\n")
+            for row in rows:
+                cells = [row["value"]]
+                for name in METRIC_NAMES:
+                    cells.append(f"{row[f'{name}_mean']:.6f}")
+                    std = row[f"{name}_std"]
+                    cells.append("" if np.isnan(std) else f"{std:.6f}")
+                fh.write(",".join(cells) + "\n")
     for row in rows:
         print(f"{args.axis}={row['value']}: acc={row['acc_mean']:.4f} "
               f"fm={row['fm_mean']:+.4f} la={row['la_mean']:.4f}")
-    print(f"wrote {table}")
+    print(f"wrote {os.path.join(outdir, 'ablation.csv')}")
     return 0
 
 

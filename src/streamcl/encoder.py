@@ -168,10 +168,12 @@ def aggregate(pyramid, mode, mixer):
     """
     if mode not in AGGREGATE_MODES:
         raise InvalidConfig(f"unknown aggregate mode {mode!r}")
+    n = len(pyramid)
+    if mode == "standard":  # only the deepest level is used, so only its ccm conv runs
+        if len(mixer.ccm) < n:
+            raise ShapeMismatch("mixer has fewer ccm kernels than pyramid levels")
+        return conv2d(pyramid[n - 1], mixer.ccm[n - 1], stride=1, padding=0)
     mixed = mix_ccm(pyramid, mixer)
-    n = len(mixed)
-    if mode == "standard":
-        return mixed[n - 1]
     if mode == "top_down":
         if len(mixer.top_down) < n - 1:
             raise InvalidConfig("mixer lacks top-down kernels for this pyramid depth")

@@ -194,12 +194,11 @@ def build_tuple_set(snapshot_task, variant, metric, pair_indices, features_by_ta
                            sample_ids=dict(sample_ids or {}))
     emb_cache = {}
 
-    def embed(task, feats, which):
-        key = (task, which)
-        if key not in emb_cache:
+    def embed(feats):  # keyed by array identity: a task's anchors and tuples are often one array
+        if id(feats) not in emb_cache:
             out = teacher_embed(feats)
-            emb_cache[key] = out if isinstance(out, Tensor) else Tensor(out)
-        return emb_cache[key]
+            emb_cache[id(feats)] = out if isinstance(out, Tensor) else Tensor(out)
+        return emb_cache[id(feats)]
 
     for anchor_task, tuple_task in pair_indices:
         if anchor_task not in features_by_task or tuple_task not in features_by_task:
@@ -209,8 +208,7 @@ def build_tuple_set(snapshot_task, variant, metric, pair_indices, features_by_ta
         if a_feats.shape[0] == 0 or z_feats.shape[0] == 0:
             continue
         with no_grad():
-            teacher = potential_matrix(embed(anchor_task, a_feats, 0),
-                                       embed(tuple_task, z_feats, 1), metric, tau_teacher)
+            teacher = potential_matrix(embed(a_feats), embed(z_feats), metric, tau_teacher)
         tset.pairs.append(DistillPair(anchor_task, tuple_task, a_feats, z_feats, teacher.data))
     return tset
 

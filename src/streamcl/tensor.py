@@ -12,7 +12,6 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 class ShapeMismatch(ValueError):
@@ -466,19 +465,28 @@ def conv2d(x, kernel, stride=1, padding=0):
     ho = (h + 2 * padding - k) // stride + 1
     if wo < 1 or ho < 1:
         raise InvalidConfig("output would be empty")
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
-    out = np.einsum("bcwhij,ocij->bowh", win, kernel.data, optimize=True)
+    xp = np.zeros((b, cin, w + 2 * padding, h + 2 * padding))
+    xp[:, :, padding:padding + w, padding:padding + h] = x.data
+    taps = {(i, j): np.s_[:, :, i:i + stride * wo:stride, j:j + stride * ho:stride]
+            for i in range(k) for j in range(k)}
+
+    def im2col():  # (Cin*k*k, B*Wo*Ho); backward rebuilds it so the closure holds only xp
+        cols = np.empty((ci, k, k, b, wo, ho))
+        for (i, j), tap in taps.items():
+            cols[:, i, j] = xp[tap].transpose(1, 0, 2, 3)
+        return cols.reshape(ci * k * k, -1)
+
+    # im2col GEMM (Chellapilla et al. 2006) on einsum's own matmul operands: bitwise equal
+    out = (kernel.data.reshape(co, -1) @ im2col()).reshape(co, b, wo, ho).transpose(1, 0, 2, 3)
 
     def backward(g):
-        gk = np.einsum("bowh,bcwhij->ocij", g, win, optimize=True)
-        gxp = np.zeros_like(xp)
-        for i in range(k):
-            for j in range(k):
-                gij = np.einsum("bowh,oc->bcwh", g, kernel.data[:, :, i, j], optimize=True)
-                gxp[:, :, i:i + stride * wo:stride, j:j + stride * ho:stride] += gij
-        gx = gxp[:, :, padding:padding + w, padding:padding + h]
-        return gx, gk
+        gk = (im2col() @ g.transpose(0, 2, 3, 1).reshape(-1, co)).reshape(ci, k, k, co)
+        if not x.requires_grad:  # e.g. the classifier's first conv, on frozen features
+            return None, gk.transpose(3, 0, 1, 2)
+        gt, gxp = g.transpose(1, 0, 2, 3).reshape(co, -1), np.zeros(xp.shape)
+        for (i, j), tap in taps.items():
+            gxp[tap] += (kernel.data[:, :, i, j].T @ gt).reshape(ci, b, wo, ho).transpose(1, 0, 2, 3)
+        return gxp[:, :, padding:padding + w, padding:padding + h], gk.transpose(3, 0, 1, 2)
 
     return _from_op(out, (x, kernel), backward)
 

@@ -1,6 +1,7 @@
 """Config grammar, validation, CLI commands, output bundles."""
 
 import os
+import stat
 import types
 
 import numpy as np
@@ -141,6 +142,66 @@ class TestCmdRun:
         assert "force" in capsys.readouterr().err
         assert main(["run", "--config", str(cfg_path), "--out", str(out), "--force"]) == 0
 
+    def test_force_replaces_the_whole_bundle(self, tmp_path):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(TINY_FILE)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert main(["run", "--config", str(cfg_path), "--out", str(out),
+                     "--seeds", "5", "--force"]) == 0
+        assert sorted(os.listdir(out)) == ["manifest.txt", "matrix_5.csv", "metrics.txt"]
+        assert sorted(os.listdir(tmp_path)) == ["exp.cfg", "out"]
+
+    def test_crash_while_writing_leaves_no_half_bundle(self, tmp_path, monkeypatch):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(TINY_FILE.replace("seeds = 0,1", "seeds = 0"))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        before = {name: (out / name).read_bytes() for name in os.listdir(out)}
+
+        def crash(outdir, cfg, results, wall_time):
+            (tmp_path / outdir / "matrix_5.csv").write_text("partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "write_bundle", crash)
+        with pytest.raises(OSError, match="disk full"):
+            main(["run", "--config", str(cfg_path), "--out", str(out), "--seeds", "5", "--force"])
+        assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
+        assert sorted(os.listdir(tmp_path)) == ["exp.cfg", "out"]
+
+    def test_force_refuses_to_delete_foreign_entries(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(TINY_FILE.replace("seeds = 0,1", "seeds = 0"))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        (out / "notes.txt").write_text("keep me")
+        (out / "plots").mkdir()
+        (out / "plots" / "manifest.txt").write_text("not a bundle")
+        (out / "plots" / "fig.png").write_text("keep me too")
+        for foreign in ("notes.txt", "plots"):
+            before = sorted(os.listdir(out))
+            assert main(["run", "--config", str(cfg_path), "--out", str(out), "--force"]) == 2
+            assert foreign in capsys.readouterr().err
+            assert sorted(os.listdir(out)) == before
+            (out / foreign).rename(tmp_path / foreign)
+        assert (tmp_path / "notes.txt").read_text() == "keep me"
+
+    def test_force_keeps_the_directory_itself(self, tmp_path, monkeypatch):
+        # a symlinked --out stays a link, keeps its mode, and may be the working directory
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(TINY_FILE.replace("seeds = 0,1", "seeds = 0"))
+        real = tmp_path / "real"
+        real.mkdir()
+        real.chmod(0o750)
+        (tmp_path / "link").symlink_to(real)
+        monkeypatch.chdir(real)
+        for out in (str(tmp_path / "link"), "."):
+            assert main(["run", "--config", str(cfg_path), "--out", out, "--seeds", "5",
+                         "--force"]) == 0
+            assert (tmp_path / "link").is_symlink()
+            assert stat.S_IMODE(real.stat().st_mode) == 0o750
+            assert sorted(os.listdir(real)) == ["manifest.txt", "matrix_5.csv", "metrics.txt"]
+
     def test_byte_deterministic_outputs(self, tmp_path):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(TINY_FILE.replace("seeds = 0,1", "seeds = 3"))
@@ -211,6 +272,15 @@ class TestCmdAblate:
                      "--values", "bn,in,ln", "--out", str(out)]) == 0
         for value in ("bn", "in", "ln"):
             assert "wall_time_s = 5.000\n" in (out / value / "manifest.txt").read_text()
+
+    def test_force_replaces_the_whole_sweep(self, tmp_path):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(TINY_FILE.replace("seeds = 0,1", "seeds = 0"))
+        out = tmp_path / "ab"
+        args = ["ablate", "--config", str(cfg_path), "--axis", "model.norm_kind", "--out", str(out)]
+        assert main(args + ["--values", "bn,cn"]) == 0
+        assert main(args + ["--values", "ln", "--force"]) == 0
+        assert sorted(os.listdir(out)) == ["ablation.csv", "ln"]
 
     def test_unknown_axis_rejected(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import streamcl.encoder as encoder_module
 import streamcl.tensor as T
 from streamcl.encoder import (
     FeaturePyramid,
@@ -131,6 +132,22 @@ class TestAggregate:
         assert st.shape == (2, 64, 2, 2)
         assert bu.shape == (2, 64, 2, 2)
         assert td.shape != st.shape
+
+    def test_standard_runs_only_the_deepest_ccm(self, monkeypatch):
+        enc = MultiScaleEncoder.from_seed(0, 1, CHANNELS)
+        x = Tensor(np.random.default_rng(12).normal(size=(3, 1, 32, 32)))
+        deepest = enc.extract(x)[3]
+        expected = T.conv2d(deepest, enc.mixer.ccm[3], stride=1, padding=0)
+        calls = []
+
+        def counting_conv(*args, **kwargs):
+            calls.append(args[0].shape)
+            return T.conv2d(*args, **kwargs)
+
+        monkeypatch.setattr(encoder_module, "conv2d", counting_conv)
+        out = enc.features(x, "standard")
+        assert len(calls) == 5  # four stages and one ccm
+        assert np.array_equal(out.data, expected.data)
 
     def test_top_down_two_level_hand_composition(self):
         rng = np.random.default_rng(6)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 import streamcl.tensor as T
 from streamcl.tensor import (
@@ -36,6 +37,50 @@ def conv2d_loop(x, k, stride, padding):
                                 acc += xp[bb, cc, ww * stride + i, hh * stride + j] * k[oo, cc, i, j]
                     out[bb, oo, ww, hh] = acc
     return out
+
+
+def conv2d_einsum(x, k, stride, padding, g):
+    """(out, gk, gx) by the einsum formulation conv2d used before im2col.
+
+    Kept as a bitwise oracle: the im2col GEMM hands BLAS the same operands
+    that einsum's matmul decomposition builds, so the two must agree exactly.
+    """
+    ks = k.shape[2]
+    b, cin, w, h = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    win = sliding_window_view(xp, (ks, ks), axis=(2, 3))[:, :, ::stride, ::stride]
+    out = np.einsum("bcwhij,ocij->bowh", win, k, optimize=True)
+    wo, ho = out.shape[2:]
+    gk = np.einsum("bowh,bcwhij->ocij", g, win, optimize=True)
+    gxp = np.zeros_like(xp)
+    for i in range(ks):
+        for j in range(ks):
+            gij = np.einsum("bowh,oc->bcwh", g, k[:, :, i, j], optimize=True)
+            gxp[:, :, i:i + stride * wo:stride, j:j + stride * ho:stride] += gij
+    return out, gk, gxp[:, :, padding:padding + w, padding:padding + h]
+
+
+# (Cin, Cout, input side, kernel, stride, padding) of every conv the default
+# config runs: stage_channels 8,16,32,64 on 32x32 single-channel input and
+# feature_channels 16
+DEFAULT_CONVS = {
+    "stage1": (1, 8, 32, 3, 2, 1),
+    "stage2": (8, 16, 16, 3, 2, 1),
+    "stage3": (16, 32, 8, 3, 2, 1),
+    "stage4": (32, 64, 4, 3, 2, 1),
+    "ccm1": (8, 8, 16, 1, 1, 0),
+    "ccm2": (16, 16, 8, 1, 1, 0),
+    "ccm3": (32, 32, 4, 1, 1, 0),
+    "ccm4": (64, 64, 2, 1, 1, 0),
+    "top_down1": (16, 8, 16, 3, 1, 1),
+    "top_down2": (32, 16, 8, 3, 1, 1),
+    "top_down3": (64, 32, 4, 3, 1, 1),
+    "bottom_up1": (8, 16, 8, 3, 1, 1),
+    "bottom_up2": (16, 32, 4, 3, 1, 1),
+    "bottom_up3": (32, 64, 2, 3, 1, 1),
+    "clf_conv1": (8, 16, 16, 3, 2, 1),
+    "clf_conv2": (16, 16, 8, 3, 2, 1),
+}
 
 
 def upsample_loop(x):
@@ -153,6 +198,52 @@ class TestConv2d:
             T.conv2d(x, Tensor(np.ones((1, 2, 5, 5))), 1, 2)
         with pytest.raises(InvalidConfig):
             T.conv2d(x, Tensor(np.ones((1, 2, 3, 3))), 3, 1)
+
+
+class TestConv2dParity:
+    @pytest.mark.parametrize("batch", [1, 10, 64, 100])
+    @pytest.mark.parametrize("name", sorted(DEFAULT_CONVS))
+    def test_bitwise_equal_to_einsum(self, name, batch):
+        cin, cout, side, ks, stride, padding = DEFAULT_CONVS[name]
+        rng = np.random.default_rng(batch)
+        x = Tensor(rng.normal(size=(batch, cin, side, side)), requires_grad=True)
+        k = Tensor(rng.normal(size=(cout, cin, ks, ks)), requires_grad=True)
+        out = T.conv2d(x, k, stride=stride, padding=padding)
+        # gradients arrive C-ordered (from a reshape) or in the conv output's
+        # own layout (from an elementwise op on it)
+        g_c = rng.normal(size=out.shape)
+        g_k = np.empty_like(out.data)
+        g_k[...] = rng.normal(size=out.shape)
+        for g in (g_c, g_k):
+            ref_out, ref_gk, ref_gx = conv2d_einsum(x.data, k.data, stride, padding, g)
+            gx, gk = out._backward(g)
+            assert np.array_equal(out.data, ref_out)
+            assert np.array_equal(gk, ref_gk)
+            assert np.array_equal(gx, ref_gx)
+            # later reductions follow memory order; a size-1 axis has none
+            # (at batch 1 einsum reports a C stride there, im2col a transposed one)
+            sized = [a for a in range(4) if out.shape[a] > 1]
+            assert ([out.data.strides[a] for a in sized]
+                    == [ref_out.strides[a] for a in sized])
+            assert gx.strides == ref_gx.strides
+
+    def test_frozen_input_gets_no_gradient(self):
+        rng = np.random.default_rng(4)
+        x = Tensor(rng.normal(size=(3, 8, 16, 16)))
+        k = Parameter(rng.normal(size=(16, 8, 3, 3)), "k")
+        out = T.conv2d(x, k, stride=2, padding=1)
+        gx, gk = out._backward(np.ones(out.shape))
+        assert gx is None and gk.shape == k.shape
+        out.sum().backward()
+        assert x.grad is None and k.grad is not None
+
+    def test_strided_padded_input_gradient(self):
+        rng = np.random.default_rng(5)
+        x = Parameter(rng.normal(size=(2, 3, 8, 8)), "x")
+        k = Tensor(rng.normal(size=(4, 3, 3, 3)))
+        report = T.finite_difference_check(
+            lambda: (T.conv2d(x, k, stride=2, padding=1) ** 2).sum(), [x], step=1e-6, tol=1e-4)
+        assert report.passed, report
 
 
 class TestResample:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import streamcl.tensor as T
+import streamcl.trainer as trainer_module
 from streamcl.config import parse_config_text
 from streamcl.encoder import save_pyramid_file
 from streamcl.losses import POTENTIAL_METRICS, ce_loss, potential_matrix
@@ -152,6 +153,38 @@ class TestEndOfTask:
                 assert np.array_equal(pair.teacher_potential, live.data)
                 checked += 1
         assert checked == 3  # (1,2) after task 2; (1,2) and (2,3) after task 3
+
+
+    def test_each_task_embedded_once_per_boundary(self, monkeypatch):
+        real = trainer_module.build_tuple_set
+        calls = []
+
+        def counting(snapshot_task, variant, metric, pairs, feats, teacher_embed, *args, **kw):
+            count = [0]
+
+            def embed(h):
+                count[0] += 1
+                return teacher_embed(h)
+
+            tset = real(snapshot_task, variant, metric, pairs, feats, embed, *args, **kw)
+            calls.append(count[0])
+            # anchors and tuples as two arrays, so each side is embedded on its own
+            apart = {t: (a, z.copy()) for t, (a, z) in feats.items()}
+            ref = real(snapshot_task, variant, metric, pairs, apart, teacher_embed, *args, **kw)
+            assert len(tset.pairs) == len(ref.pairs)
+            for mine, theirs in zip(tset.pairs, ref.pairs):
+                assert np.array_equal(mine.teacher_potential, theirs.teacher_potential)
+            return tset
+
+        monkeypatch.setattr(trainer_module, "build_tuple_set", counting)
+        cfg = tiny_cfg(loss="distill_variant = csd")
+        cfg.stream.tasks = 4
+        trainer = Trainer(cfg, seed=1)
+        state = trainer.build_state()
+        for t in range(4):
+            trainer.train_task(state, t)
+            trainer.end_of_task(state, t + 1)
+        assert calls == [0, 2, 3, 4]  # one embed per distinct task, not per pair side
 
 
 class TestEvaluate:
