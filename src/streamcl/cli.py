@@ -30,7 +30,6 @@ from .config import (
     serialize,
     validate,
 )
-from .memory import InsufficientSamples
 from .tensor import InvalidConfig
 from .trainer import run_experiment
 
@@ -231,7 +230,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, InvalidConfig, InsufficientSamples) as exc:
+    except (ConfigError, InvalidConfig) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

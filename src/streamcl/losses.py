@@ -50,10 +50,6 @@ class ZeroVector(ValueError):
     """Angle-based potentials need nonzero embeddings."""
 
 
-class MissingSnapshot(RuntimeError):
-    """Distillation requested without a stored teacher snapshot."""
-
-
 @dataclass
 class LossWeights:
     """Balancing factors and temperatures for the composed objective."""

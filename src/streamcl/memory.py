@@ -18,10 +18,6 @@ class EmptyBuffer(RuntimeError):
     """Sampling requested from a buffer with no stored items."""
 
 
-class InsufficientSamples(ValueError):
-    """A stored task cannot supply the requested number of samples."""
-
-
 @dataclass
 class Batch:
     xs: np.ndarray
@@ -143,15 +139,13 @@ def buffer_sample(buffer, batch_size, rng):
 
 
 def select_cross_task_tuples(buffer, n_per_task, rng):
-    """Pick n samples per stored task; the caller caches the result so the
+    """Pick up to n samples per stored task (a task the reservoir has thinned
+    below n gives all it stores); the caller caches the result so the
     selection stays fixed until the next task boundary."""
     selection = {}
     for t in buffer.stored_tasks():
         items = buffer.task_items(t)
-        if len(items) < n_per_task:
-            raise InsufficientSamples(
-                f"task {t} stores {len(items)} samples, loss.n_per_task needs {n_per_task}")
-        chosen = rng.choice(len(items), size=n_per_task, replace=False)
+        chosen = rng.choice(len(items), size=min(n_per_task, len(items)), replace=False)
         selection[t] = _to_batch([items[i] for i in chosen])
     return selection
 

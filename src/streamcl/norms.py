@@ -1,5 +1,9 @@
 """Normalization layers: BN, IN, LN, GN, SN, CN and the split-parallel module.
 
+BN, IN, LN, GN, SN and the IN/LN blend are one layer, ``MomentNorm``, that
+standardizes by the moments of the sources each kind declares; CN and the
+split-parallel module compose those layers.
+
 Every layer maps a (B,C,W,H) tensor to the same shape. Layers that use
 minibatch statistics (BN, the BN parts of SN/CN and of the split-parallel
 module) keep running estimates updated only in train mode; the spatial
@@ -7,6 +11,8 @@ layers (IN, LN, GN) are stateless and behave identically in both modes.
 """
 
 from __future__ import annotations
+
+from functools import reduce
 
 import numpy as np
 
@@ -16,6 +22,7 @@ from .tensor import (
     Parameter,
     ShapeMismatch,
     Tensor,
+    add,
     concat_channels,
     element,
     moments,
@@ -136,112 +143,112 @@ class NormLayer:
         return out
 
 
-class BatchNorm(NormLayer):
-    kind = "bn"
+def standardize(x, mean, var, epsilon):
+    """``(x - mean) / sqrt(var + epsilon)``: the one standardize step of the zoo."""
+    return (x - mean) * power(var + epsilon, -0.5)
 
-    def __init__(self, channels, momentum=0.1, epsilon=1e-5, affine=True, prefix="bn"):
+
+class MomentNorm(NormLayer):
+    """Standardize by the moments of ``sources``, then an optional affine.
+
+    A source is ``"batch"`` (per-channel moments through
+    ``RunningStats.batch_stats``: batch moments with a running update in
+    train mode, running estimates in eval mode) or a tuple of axes that
+    ``moments`` reduces in both modes. Two or more sources are blended by
+    learned softmax weights, one set for the means and one for the variances.
+    """
+
+    sources = ()
+
+    def __init__(self, channels, epsilon, affine, prefix, momentum=0.1):
         super().__init__(channels, epsilon)
         self.prefix = prefix
         self.affine = AffineParams(channels, prefix) if affine else None
-        self.stats = RunningStats(channels, momentum, epsilon)
+        self.stats = RunningStats(channels, momentum, epsilon) if "batch" in self.sources else None
+        self.blend = BlendWeights(len(self.sources), prefix) if len(self.sources) > 1 else None
 
     def __call__(self, x):
         _check_input(x, self.channels)
-        mean, var = self.stats.batch_stats(x, self.training)
-        xhat = (x - mean) * power(var + self.epsilon, -0.5)
+        xhat = self.standardized(x)
         return self.affine.apply(xhat) if self.affine else xhat
 
+    def standardized(self, x):
+        stats = [self.stats.batch_stats(x, self.training) if s == "batch" else moments(x, s)
+                 for s in self.sources]
+        means, variances = zip(*stats)
+        mean, var = means[0], variances[0]
+        if self.blend:
+            mean = _blend(self.blend.mean_weights(), means)
+            var = _blend(self.blend.var_weights(), variances)
+        return standardize(x, mean, var, self.epsilon)
+
     def params(self):
-        return self.affine.params() if self.affine else []
+        return ((self.blend.params() if self.blend else [])
+                + (self.affine.params() if self.affine else []))
 
     def buffers(self):
-        return self.stats.buffers(self.prefix)
+        return self.stats.buffers(self.prefix) if self.stats else {}
 
 
-class InstanceNorm(NormLayer):
+def _blend(weights, stats):
+    """``w0*s0 + w1*s1 + ...``, summed left to right."""
+    return reduce(add, (element(weights, i) * s for i, s in enumerate(stats)))
+
+
+class BatchNorm(MomentNorm):
+    kind = "bn"
+    sources = ("batch",)
+
+    def __init__(self, channels, momentum=0.1, epsilon=1e-5, affine=True, prefix="bn"):
+        super().__init__(channels, epsilon, affine, prefix, momentum)
+
+
+class InstanceNorm(MomentNorm):
     kind = "in"
+    sources = ((2, 3),)
 
     def __init__(self, channels, epsilon=1e-5, affine=True, prefix="in"):
-        super().__init__(channels, epsilon)
-        self.affine = AffineParams(channels, prefix) if affine else None
-
-    def __call__(self, x):
-        _check_input(x, self.channels)
-        mean, var = moments(x, (2, 3))
-        xhat = (x - mean) * power(var + self.epsilon, -0.5)
-        return self.affine.apply(xhat) if self.affine else xhat
-
-    def params(self):
-        return self.affine.params() if self.affine else []
+        super().__init__(channels, epsilon, affine, prefix)
 
 
-class LayerNorm(NormLayer):
+class LayerNorm(MomentNorm):
     kind = "ln"
+    sources = ((1, 2, 3),)
 
     def __init__(self, channels, epsilon=1e-5, affine=True, prefix="ln"):
-        super().__init__(channels, epsilon)
-        self.affine = AffineParams(channels, prefix) if affine else None
-
-    def __call__(self, x):
-        _check_input(x, self.channels)
-        mean, var = moments(x, (1, 2, 3))
-        xhat = (x - mean) * power(var + self.epsilon, -0.5)
-        return self.affine.apply(xhat) if self.affine else xhat
-
-    def params(self):
-        return self.affine.params() if self.affine else []
+        super().__init__(channels, epsilon, affine, prefix)
 
 
-class GroupNorm(NormLayer):
+class GroupNorm(MomentNorm):
+    """Layer-norm moments over each group of ``channels // groups`` channels."""
+
     kind = "gn"
+    sources = ((1, 2, 3),)
 
     def __init__(self, channels, groups, epsilon=1e-5, affine=True, prefix="gn"):
-        super().__init__(channels, epsilon)
         if groups < 1 or channels % groups:
             raise InvalidConfig(f"groups {groups} must divide channels {channels}")
+        super().__init__(channels, epsilon, affine, prefix)
         self.groups = groups
-        self.affine = AffineParams(channels, prefix) if affine else None
 
-    def __call__(self, x):
-        _check_input(x, self.channels)
+    def standardized(self, x):
         b, c, w, h = x.shape
-        g = self.groups
-        xr = reshape(x, (b * g, c // g, w, h))
-        mean, var = moments(xr, (1, 2, 3))
-        xhat = reshape((xr - mean) * power(var + self.epsilon, -0.5), (b, c, w, h))
-        return self.affine.apply(xhat) if self.affine else xhat
-
-    def params(self):
-        return self.affine.params() if self.affine else []
+        xr = reshape(x, (b * self.groups, c // self.groups, w, h))
+        return reshape(super().standardized(xr), (b, c, w, h))
 
 
-class BlendedSpatialNorm(NormLayer):
+class BlendedSpatialNorm(MomentNorm):
     """Learned IN/LN mixture: softmax weights blend the means and, with a
     second weight pair, the variances before a shared affine transform."""
 
     kind = "inln"
+    sources = ((2, 3), (1, 2, 3))
 
     def __init__(self, channels, epsilon=1e-5, prefix="inln"):
-        super().__init__(channels, epsilon)
-        self.blend = BlendWeights(2, prefix)
-        self.affine = AffineParams(channels, prefix)
-
-    def __call__(self, x):
-        _check_input(x, self.channels)
-        mean_in, var_in = moments(x, (2, 3))
-        mean_ln, var_ln = moments(x, (1, 2, 3))
-        w = self.blend.mean_weights()
-        wv = self.blend.var_weights()
-        mean = element(w, 0) * mean_in + element(w, 1) * mean_ln
-        var = element(wv, 0) * var_in + element(wv, 1) * var_ln
-        xhat = (x - mean) * power(var + self.epsilon, -0.5)
-        return self.affine.apply(xhat)
-
-    def params(self):
-        return self.blend.params() + self.affine.params()
+        super().__init__(channels, epsilon, True, prefix)
 
 
-class SwitchableNorm(NormLayer):
+class SwitchableNorm(MomentNorm):
     """Three-way blend of BN/IN/LN statistics with learned weights.
 
     The BN component follows the usual running-statistic contract: batch
@@ -250,31 +257,10 @@ class SwitchableNorm(NormLayer):
     """
 
     kind = "sn"
+    sources = ("batch", (2, 3), (1, 2, 3))
 
     def __init__(self, channels, momentum=0.1, epsilon=1e-5, prefix="sn"):
-        super().__init__(channels, epsilon)
-        self.prefix = prefix
-        self.blend = BlendWeights(3, prefix)
-        self.affine = AffineParams(channels, prefix)
-        self.stats = RunningStats(channels, momentum, epsilon)
-
-    def __call__(self, x):
-        _check_input(x, self.channels)
-        mean_bn, var_bn = self.stats.batch_stats(x, self.training)
-        mean_in, var_in = moments(x, (2, 3))
-        mean_ln, var_ln = moments(x, (1, 2, 3))
-        w = self.blend.mean_weights()
-        wv = self.blend.var_weights()
-        mean = element(w, 0) * mean_bn + element(w, 1) * mean_in + element(w, 2) * mean_ln
-        var = element(wv, 0) * var_bn + element(wv, 1) * var_in + element(wv, 2) * var_ln
-        xhat = (x - mean) * power(var + self.epsilon, -0.5)
-        return self.affine.apply(xhat)
-
-    def params(self):
-        return self.blend.params() + self.affine.params()
-
-    def buffers(self):
-        return self.stats.buffers(self.prefix)
+        super().__init__(channels, epsilon, True, prefix, momentum)
 
 
 class ContinualNorm(NormLayer):

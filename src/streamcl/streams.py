@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import InvalidConfig
+from .tensor import InvalidConfig, resample, resample_matrix
 
 STREAM_KINDS = ("gaussian_blobs", "rotated_patterns", "tiny_images")
 AUGMENT_OPS = ("crop_pad", "hflip", "resize")
@@ -186,30 +186,10 @@ def _load_tiny_images(n_tasks, classes_per_task, samples_per_task, test_samples,
 
 # augmentation ---------------------------------------------------------------
 
-_RESIZE_CACHE = {}
-
-
-def _resize_matrix(src, dst):
-    key = (src, dst)
-    if key not in _RESIZE_CACHE:
-        m = np.zeros((dst, src))
-        for i in range(dst):
-            s = min(max((i + 0.5) * src / dst - 0.5, 0.0), src - 1.0)
-            i0 = int(np.floor(s))
-            i1 = min(i0 + 1, src - 1)
-            f = s - i0
-            m[i, i0] += 1.0 - f
-            m[i, i1] += f
-        _RESIZE_CACHE[key] = m
-    return _RESIZE_CACHE[key]
-
-
 def resize_images(xs, dims):
     if xs.shape[2] == dims and xs.shape[3] == dims:
         return xs
-    mw = _resize_matrix(xs.shape[2], dims)
-    mh = _resize_matrix(xs.shape[3], dims)
-    return np.einsum("pw,bcwh,qh->bcpq", mw, xs, mh, optimize=True)
+    return resample(xs, resample_matrix(xs.shape[2], dims), resample_matrix(xs.shape[3], dims))
 
 
 def _crop_pad(xs, rng):

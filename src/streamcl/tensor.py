@@ -512,22 +512,33 @@ def maxpool2x2(x):
     return _from_op(out, (x,), backward)
 
 
-_BILINEAR_CACHE = {}
+_RESAMPLE_CACHE = {}
 
 
-def _up2x_matrix(n):
-    # Sample centers at (i + 0.5)/2 - 0.5 (align-corners-false), clamped to the edges.
-    if n not in _BILINEAR_CACHE:
-        m = np.zeros((2 * n, n))
-        for i in range(2 * n):
-            src = min(max((i + 0.5) / 2.0 - 0.5, 0.0), n - 1.0)
-            i0 = int(np.floor(src))
-            i1 = min(i0 + 1, n - 1)
-            f = src - i0
+def resample_matrix(src, dst):
+    """(dst, src) linear interpolation along one axis: sample centers at
+    (i + 0.5) * src / dst - 0.5 (align-corners-false), clamped to the edges."""
+    if (src, dst) not in _RESAMPLE_CACHE:
+        m = np.zeros((dst, src))
+        for i in range(dst):
+            s = min(max((i + 0.5) * src / dst - 0.5, 0.0), src - 1.0)
+            i0 = int(np.floor(s))
+            i1 = min(i0 + 1, src - 1)
+            f = s - i0
             m[i, i0] += 1.0 - f
             m[i, i1] += f
-        _BILINEAR_CACHE[n] = m
-    return _BILINEAR_CACHE[n]
+        _RESAMPLE_CACHE[src, dst] = m
+    return _RESAMPLE_CACHE[src, dst]
+
+
+def resample(x, mw, mh):
+    """``einsum("pw,bcwh,qh->bcpq", mw, x, mh)`` on a (B,C,W,H) array as two
+    matmuls, W first: on the up2x maps these are the very matmuls numpy's
+    einsum path makes, so the two agree bitwise there."""
+    b, c, w, h = x.shape
+    p, q = mw.shape[0], mh.shape[0]
+    t = (x.transpose(0, 1, 3, 2).reshape(-1, w) @ mw.T).reshape(b, c, h, p)
+    return (t.transpose(0, 1, 3, 2).reshape(-1, h) @ mh.T).reshape(b, c, p, q)
 
 
 def bilinear_up2x(x):
@@ -535,13 +546,8 @@ def bilinear_up2x(x):
     if x.ndim != 4:
         raise ShapeMismatch("bilinear_up2x expects a 4-axis tensor")
     b, c, w, h = x.shape
-    mw, mh = _up2x_matrix(w), _up2x_matrix(h)
-    out = np.einsum("pw,bcwh,qh->bcpq", mw, x.data, mh, optimize=True)
-
-    def backward(g):
-        return (np.einsum("pw,bcpq,qh->bcwh", mw, g, mh, optimize=True),)
-
-    return _from_op(out, (x,), backward)
+    mw, mh = resample_matrix(w, 2 * w), resample_matrix(h, 2 * h)
+    return _from_op(resample(x.data, mw, mh), (x,), lambda g: (resample(g, mw.T, mh.T),))
 
 
 # channel split / concat ---------------------------------------------------

@@ -288,13 +288,9 @@ class Trainer:
                   "augment": np.random.default_rng(ss_augment)})
 
     def _feature_shape(self, stream, encoder):
-        probe = np.zeros((1, stream.channels, stream.dims, stream.dims))
+        probe = Tensor(np.zeros((1, stream.channels, stream.dims, stream.dims)))
         with no_grad():
-            if isinstance(encoder, StoredPyramidEncoder):
-                out = encoder.features(None, self.cfg.encoder.aggregate_mode,
-                                       indices=np.array([0]))
-            else:
-                out = encoder.features(Tensor(probe), self.cfg.encoder.aggregate_mode)
+            out = encoder.features(probe, self.cfg.encoder.aggregate_mode, indices=np.array([0]))
         return out.shape[1:]
 
     # loss plumbing ------------------------------------------------------
@@ -394,28 +390,25 @@ class Trainer:
         return state
 
     def _maybe_pseudo_boundary(self, state):
+        """Task-free boundary (called only with replay and the tf variant)."""
         cfg = self.cfg
-        if not self._needs_snapshot():
-            return
         u = len(state.buffer.unique_labels())
         level = u // cfg.loss.new_task_classes
         if level <= state.pseudo_level:
             return
         state.pseudo_level = level
         state.teacher = state.classifier.clone().eval()
-        state.tuple_set = None
-        if cfg.loss.distill_variant == "tf":
-            anchors, tuples = select_pseudo_task_tuples(
-                state.buffer, state.class_order, cfg.loss.new_task_classes,
-                cfg.loss.n_per_task, cfg.loss.samples_per_class, state.rngs["buffer"])
-            feats = {}
-            for p in set(anchors) | set(tuples):
-                a = _features(state, anchors[p].xs, anchors[p].indices) if p in anchors else np.zeros((0,))
-                z = _features(state, tuples[p].xs, tuples[p].indices) if p in tuples else np.zeros((0,))
-                feats[p] = (a, z)
-            pairs = [(j - 1, j) for j in tf_pair_indices(u, cfg.loss.new_task_classes)]
-            state.tuple_set = build_tuple_set(level, "tf", cfg.loss.potential_metric, pairs,
-                                              feats, state.teacher.embed, cfg.loss.tau_teacher)
+        anchors, tuples = select_pseudo_task_tuples(
+            state.buffer, state.class_order, cfg.loss.new_task_classes,
+            cfg.loss.n_per_task, cfg.loss.samples_per_class, state.rngs["buffer"])
+        feats = {}
+        for p in set(anchors) | set(tuples):
+            a = _features(state, anchors[p].xs, anchors[p].indices) if p in anchors else np.zeros((0,))
+            z = _features(state, tuples[p].xs, tuples[p].indices) if p in tuples else np.zeros((0,))
+            feats[p] = (a, z)
+        pairs = [(j - 1, j) for j in tf_pair_indices(u, cfg.loss.new_task_classes)]
+        state.tuple_set = build_tuple_set(level, "tf", cfg.loss.potential_metric, pairs,
+                                          feats, state.teacher.embed, cfg.loss.tau_teacher)
 
     # evaluation -----------------------------------------------------------
 

@@ -6,8 +6,11 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import streamcl.cli as cli
+import streamcl.trainer as trainer
 from streamcl.cli import main
 from streamcl.config import (
     ExperimentConfig,
@@ -16,7 +19,13 @@ from streamcl.config import (
     UnknownKey,
     parse_config_text,
     serialize,
+    validate,
 )
+from streamcl.encoder import AGGREGATE_MODES
+from streamcl.losses import DISTILL_VARIANTS, POTENTIAL_METRICS
+from streamcl.memory import select_cross_task_tuples
+from streamcl.norms import NORM_KINDS
+from streamcl.streams import AUGMENT_APPLY, AUGMENT_OPS
 
 TINY_FILE = """
 [stream]
@@ -85,6 +94,54 @@ class TestParsing:
         cfg = parse_config_text(TINY_FILE)
         again = parse_config_text(serialize(cfg))
         assert again == cfg
+
+    @given(st.data())
+    def test_round_trip_property(self, data):
+        positive = st.floats(1e-6, 1e3)
+        name = st.text("abcxyz019_./-", max_size=12)
+        fields = {
+            "stream": dict(kind=st.sampled_from(("rotated_patterns", "gaussian_blobs")),
+                           tasks=st.integers(1, 20), classes_per_task=st.integers(2, 10),
+                           samples_per_task=st.integers(12, 1000),
+                           test_samples=st.integers(1, 500), dims=st.sampled_from((16, 32, 64)),
+                           channels=st.integers(1, 4), data_dir=name,
+                           augment=st.sampled_from(AUGMENT_APPLY),
+                           augment_ops=st.lists(st.sampled_from(AUGMENT_OPS), max_size=3).map(tuple)),
+            "encoder": dict(stage_channels=st.lists(st.integers(1, 64), min_size=4, max_size=4)
+                            .map(lambda c: tuple(sorted(c))),
+                            aggregate_mode=st.sampled_from(AGGREGATE_MODES),
+                            aggregate_channels=st.integers(0, 32),
+                            pyramid_file=st.just("")),  # a stored pyramid needs augment = none
+            "model": dict(norm_kind=st.sampled_from(NORM_KINDS), groups=st.sampled_from((1, 2)),
+                          momentum=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                          epsilon=positive, head_mode=st.sampled_from(("single", "multi")),
+                          feature_channels=st.integers(1, 16).map(lambda c: 2 * c)),
+            "loss": dict(lambda_dctn=st.floats(0.0, 1e3), lambda_dcsd=st.floats(0.0, 1e3),
+                         tau_dctn=positive, tau_teacher=positive, tau_student=positive,
+                         potential_metric=st.sampled_from(POTENTIAL_METRICS),
+                         distill_variant=st.sampled_from(DISTILL_VARIANTS + ("none",)),
+                         n_per_task=st.integers(1, 12), new_task_classes=st.integers(1, 10),
+                         samples_per_class=st.integers(1, 5),
+                         embedding=st.sampled_from(("logits", "penultimate"))),
+            "replay": dict(policy=st.sampled_from(("ring", "reservoir")),
+                           capacity=st.integers(12, 500), replay_batch=st.integers(1, 128),
+                           enabled=st.booleans()),
+            "train": dict(lr=positive, batch=st.integers(1, 64), inner_updates=st.integers(0, 4),
+                          seeds=st.lists(st.integers(0, 999), min_size=1, max_size=5, unique=True)
+                          .map(tuple), replay_draw=st.sampled_from(("per_update", "single"))),
+            "output": dict(directory=name),
+        }
+        cfg = ExperimentConfig()
+        assert {s: set(k) for s, k in fields.items()} == {
+            s: set(vars(sec)) for s, sec in cfg.sections().items()}
+        for section, keys in fields.items():
+            for key, strategy in keys.items():
+                setattr(getattr(cfg, section), key, data.draw(strategy, label=f"{section}.{key}"))
+        try:
+            validate(cfg)
+        except InvalidValue:
+            assume(False)
+        assert parse_config_text(serialize(cfg)) == cfg
 
     def test_cross_field_validation(self):
         with pytest.raises(InvalidValue):
@@ -222,17 +279,30 @@ class TestCmdRun:
         assert main(["run", "--config", str(cfg_path), "--out", str(single)]) == 0
         assert (out / "metrics.txt").read_bytes() == (single / "metrics.txt").read_bytes()
 
-    def test_reservoir_tuple_shortfall_exits_2(self, tmp_path, capsys):
-        # a reservoir keeps no fixed share per task, so whether a stored task
-        # still holds n_per_task samples at a boundary depends on the draws
+    def test_reservoir_tuple_shortfall_completes(self, tmp_path, monkeypatch):
+        # a reservoir keeps no fixed share per task, so a stored task can hold
+        # fewer than n_per_task samples at a boundary; it then gives all it has
         text = TINY_FILE.replace("tasks = 2", "tasks = 3")
         text = text.replace("capacity = 15", "policy = reservoir\ncapacity = 15")
         text = text.replace("distill_variant = none", "distill_variant = csd")
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(text.replace("seeds = 0,1", "seeds = 0"))
-        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: task ") and "loss.n_per_task needs 5" in err
+        sizes = []
+
+        def recording(*args, **kwargs):
+            selection = select_cross_task_tuples(*args, **kwargs)
+            sizes.extend(len(b) for b in selection.values())
+            return selection
+
+        monkeypatch.setattr(trainer, "select_cross_task_tuples", recording)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert min(sizes) < 5 and max(sizes) == 5
+        assert sorted(os.listdir(out)) == ["manifest.txt", "matrix_0.csv", "metrics.txt"]
+        rows = (out / "matrix_0.csv").read_text().splitlines()
+        assert len(rows) == 3
+        metrics = dict(line.split(" = ") for line in (out / "metrics.txt").read_text().splitlines())
+        assert all(np.isfinite(float(metrics[f"{m}_seed0"])) for m in ("acc", "fm", "la"))
 
     def test_seed_override_flag(self, tmp_path):
         cfg_path = tmp_path / "exp.cfg"

@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from streamcl.encoder import load_pyramid_file
 from streamcl.losses import build_tuple_set
 from streamcl.memory import (
     EmptyBuffer,
-    InsufficientSamples,
     ReservoirBuffer,
     RingBuffer,
     buffer_sample,
@@ -133,10 +134,11 @@ class TestTupleSelection:
         assert sorted(sel[1].indices.tolist()) == list(range(6))
 
     def test_insufficient_samples(self):
+        # a task holding fewer than n gives every item it stores
         buf = RingBuffer(50)
         fill(buf, 50, task_id=1)
-        with pytest.raises(InsufficientSamples):
-            select_cross_task_tuples(buf, 60, np.random.default_rng(7))
+        sel = select_cross_task_tuples(buf, 60, np.random.default_rng(7))
+        assert sorted(sel[1].indices.tolist()) == list(range(50))
 
     @pytest.mark.parametrize("n", [5, 10, 20])
     def test_standard_sizes_accepted_at_k50(self, n):
@@ -207,3 +209,36 @@ def test_reservoir_insert_stores_sample():
     buf = ReservoirBuffer(5)
     buf.insert(np.zeros(1), 3, 1, 0, rng=np.random.default_rng(11))
     assert len(buf) == 1 and buf.items()[0][1] == 3
+
+
+class TestProperties:
+    @given(capacity=st.integers(1, 6), tasks=st.lists(st.integers(1, 4), max_size=60))
+    def test_ring_keeps_the_last_capacity_items_per_task(self, capacity, tasks):
+        buf = RingBuffer(capacity)
+        for i, t in enumerate(tasks):
+            buf.insert(np.zeros(1), i % 10, t, i)
+        assert buf.stored_tasks() == sorted(set(tasks))
+        assert len(buf) == sum(len(buf.task_items(t)) for t in set(tasks))
+        for t in set(tasks):
+            inserted = [i for i, s in enumerate(tasks) if s == t]
+            assert sorted(it[3] for it in buf.task_items(t)) == inserted[-capacity:]
+            assert all(it[2] == t for it in buf.task_items(t))
+
+    @given(capacity=st.integers(1, 10), tasks=st.lists(st.integers(1, 4), max_size=60),
+           seed=st.integers(0, 2**32 - 1), n_per_task=st.integers(1, 12))
+    def test_reservoir_is_a_bounded_subset_of_the_stream(self, capacity, tasks, seed, n_per_task):
+        rng = np.random.default_rng(seed)
+        buf = ReservoirBuffer(capacity)
+        for i, t in enumerate(tasks):
+            buf.insert(np.zeros(1), i % 10, t, i, rng=rng)
+        stored = [it[3] for it in buf.items()]
+        assert buf.seen == len(tasks) and len(buf) == min(len(tasks), capacity)
+        assert len(set(stored)) == len(stored)
+        assert all(tasks[i] == t for _, _, t, i in buf.items())
+        if len(tasks) <= capacity:
+            assert stored == list(range(len(tasks)))
+        sel = select_cross_task_tuples(buf, n_per_task, rng)
+        assert sorted(sel) == buf.stored_tasks()
+        for t, batch in sel.items():
+            held = {it[3] for it in buf.task_items(t)}
+            assert len(batch) == min(n_per_task, len(held)) and set(batch.indices) <= held

@@ -346,3 +346,84 @@ class TestCrossKindInvariants:
         (layer(x) * Tensor(rng.normal(size=(3, 4, 2, 2)))).sum().backward()
         for p in layer.params():
             assert p.grad is not None and np.all(np.isfinite(p.grad)), p
+
+
+def parent_norm(layer, x):
+    """The per-kind formulas the zoo used before ``MomentNorm``, on ``layer``'s
+    own parameters and running statistics: the parity oracle."""
+    def std(x, mean, var):
+        return (x - mean) * T.power(var + layer.epsilon, -0.5)
+
+    kind, e = layer.kind, T.element
+    if kind == "cn":
+        return parent_norm(layer.bn, parent_norm(layer.gn, x))
+    if kind == "spn":
+        a1, a2 = T.split_halves(x)
+        return T.concat_channels(parent_norm(layer.bn, a1), parent_norm(layer.inln, a2))
+    if kind == "bn":
+        mean, var = layer.stats.batch_stats(x, layer.training)
+        xhat = std(x, mean, var)
+    elif kind in ("in", "ln"):
+        mean, var = T.moments(x, (2, 3) if kind == "in" else (1, 2, 3))
+        xhat = std(x, mean, var)
+    elif kind == "gn":
+        b, c, w, h = x.shape
+        xr = T.reshape(x, (b * layer.groups, c // layer.groups, w, h))
+        mean, var = T.moments(xr, (1, 2, 3))
+        xhat = T.reshape(std(xr, mean, var), (b, c, w, h))
+    elif kind == "inln":
+        mean_in, var_in = T.moments(x, (2, 3))
+        mean_ln, var_ln = T.moments(x, (1, 2, 3))
+        w, wv = layer.blend.mean_weights(), layer.blend.var_weights()
+        mean = e(w, 0) * mean_in + e(w, 1) * mean_ln
+        var = e(wv, 0) * var_in + e(wv, 1) * var_ln
+        xhat = std(x, mean, var)
+    else:
+        assert kind == "sn"
+        mean_bn, var_bn = layer.stats.batch_stats(x, layer.training)
+        mean_in, var_in = T.moments(x, (2, 3))
+        mean_ln, var_ln = T.moments(x, (1, 2, 3))
+        w, wv = layer.blend.mean_weights(), layer.blend.var_weights()
+        mean = e(w, 0) * mean_bn + e(w, 1) * mean_in + e(w, 2) * mean_ln
+        var = e(wv, 0) * var_bn + e(wv, 1) * var_in + e(wv, 2) * var_ln
+        xhat = std(x, mean, var)
+    return layer.affine.apply(xhat) if layer.affine else xhat
+
+
+class TestParentParity:
+    """Bitwise parity with the per-kind formulas at the classifier's norm shapes.
+
+    Inputs are conv2d outputs, whose memory layout is transposed, as in the
+    classifier. Parameters are random so every blend weight and affine term
+    matters; a train-mode call precedes an eval-mode call, so the running
+    statistics the eval call reads are the ones the train call wrote.
+    """
+
+    @pytest.mark.parametrize("batch", [10, 64, 100])
+    @pytest.mark.parametrize("spatial", [8, 4])
+    @pytest.mark.parametrize("kind", NORM_KINDS)
+    def test_bitwise_equal_to_parent_formulas(self, kind, spatial, batch):
+        rng = np.random.default_rng(23)
+        layer, oracle = (make_norm(kind, 16, groups=2, prefix="clf.norm1") for _ in range(2))
+        for p, q in zip(layer.params(), oracle.params()):
+            p.data[...] = q.data[...] = rng.normal(size=p.shape)
+        kernel = Tensor(rng.normal(size=(16, 4, 3, 3)))
+        for mode in ("train", "eval"):
+            for n in (layer, oracle):
+                getattr(n, mode)()
+            xs = T.conv2d(Tensor(rng.normal(size=(batch, 4, 2 * spatial, 2 * spatial))),
+                          kernel, stride=2, padding=1).data
+            assert not xs.flags.c_contiguous
+            g = Tensor(rng.normal(size=xs.shape))
+            x, x_ref = Tensor(xs, requires_grad=True), Tensor(xs, requires_grad=True)
+            out, ref = layer(x), parent_norm(oracle, x_ref)
+            (out * g).sum().backward()
+            (ref * g).sum().backward()
+            assert np.array_equal(out.data, ref.data), mode
+            assert np.array_equal(x.grad, x_ref.grad), mode
+            for p, q in zip(layer.params(), oracle.params()):
+                assert p.name == q.name and np.array_equal(p.grad, q.grad), (mode, p.name)
+                p.grad = q.grad = None
+            bufs, ref_bufs = layer.buffers(), oracle.buffers()
+            assert bufs.keys() == ref_bufs.keys()
+            assert all(np.array_equal(bufs[k], ref_bufs[k]) for k in bufs), mode

@@ -4,6 +4,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import streamcl.tensor as T
 from streamcl.encoder import MultiScaleEncoder
@@ -205,6 +207,17 @@ class TestMetrics:
             assert acc == pytest.approx(o_acc, abs=1e-12)
             assert fm == pytest.approx(o_fm, abs=1e-12)
             assert la == pytest.approx(o_la, abs=1e-12)
+
+    @given(st.data())
+    def test_matches_loop_oracle_property(self, data):
+        t = data.draw(st.integers(1, 12))
+        unit = st.floats(0.0, 1.0)
+        a = np.full((t, t), np.nan)
+        for i in range(t):
+            a[i, :i + 1] = data.draw(st.lists(unit, min_size=i + 1, max_size=i + 1))
+        got = compute_metrics(a)
+        want = metrics_loop([list(row) for row in a])
+        assert got == pytest.approx(want, abs=1e-12)
 
     def test_csv_lines_six_decimals(self):
         m = AccuracyMatrix(2)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 import streamcl.tensor as T
@@ -479,3 +481,44 @@ class TestGradientChecks:
 
         report = T.finite_difference_check(f, [x, k3, k1, v, w], step=1e-6, tol=1e-4)
         assert report.passed, report
+
+
+class TestProperties:
+    @given(st.data())
+    def test_unbroadcast_is_the_adjoint_of_broadcasting(self, data):
+        g_shape = tuple(data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)))
+        k = data.draw(st.integers(0, len(g_shape)))
+        shape = tuple(n if data.draw(st.booleans()) else 1 for n in g_shape[len(g_shape) - k:])
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        g, v = rng.normal(size=g_shape), rng.normal(size=shape)
+        out = T._unbroadcast(g, shape)
+        assert out.shape == shape
+        # <unbroadcast(g), v> == <g, broadcast(v)> for every v
+        assert np.sum(out * v) == pytest.approx(np.sum(g * np.broadcast_to(v, g_shape)), abs=1e-9)
+
+    @staticmethod
+    def resample_and_einsum(x, mw, mh, g_seed):
+        g = np.random.default_rng(g_seed).normal(size=x.shape[:2] + (len(mw), len(mh)))
+        return ((T.resample(x, mw, mh), np.einsum("pw,bcwh,qh->bcpq", mw, x, mh, optimize=True)),
+                (T.resample(g, mw.T, mh.T), np.einsum("pw,bcpq,qh->bcwh", mw, g, mh, optimize=True)))
+
+    @given(b=st.integers(1, 100), c=st.integers(1, 16), w=st.sampled_from((1, 2, 4, 8)),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(deadline=None, max_examples=50)
+    def test_resample_is_the_einsum_on_up2x_maps(self, b, c, w, seed):
+        # the encoder's upsampling shapes: both directions bitwise equal
+        m = T.resample_matrix(w, 2 * w)
+        x = np.random.default_rng(seed).normal(size=(b, c, w, w))
+        for out, ref in self.resample_and_einsum(x, m, m, seed + 1):
+            assert np.array_equal(out, ref)
+
+    @given(b=st.integers(1, 4), c=st.integers(1, 4), w=st.integers(1, 12), h=st.integers(1, 12),
+           p=st.integers(1, 24), q=st.integers(1, 24), seed=st.integers(0, 2**32 - 1))
+    @settings(deadline=None)
+    def test_resample_matches_einsum(self, b, c, w, h, p, q, seed):
+        # einsum's path may contract H first or lay its operands out otherwise,
+        # so on arbitrary maps only the rounding of the sums may differ
+        rng = np.random.default_rng(seed)
+        x, mw, mh = rng.normal(size=(b, c, w, h)), rng.normal(size=(p, w)), rng.normal(size=(q, h))
+        for out, ref in self.resample_and_einsum(x, mw, mh, seed + 1):
+            np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-12)
