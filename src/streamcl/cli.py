@@ -22,27 +22,15 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import __version__, checks
-from .config import (
-    ConfigError,
-    ExperimentConfig,
-    apply_override,
-    parse_config,
-    serialize,
-    validate,
-)
+from .config import ConfigError, parse_config, parse_config_text, serialize
 from .tensor import InvalidConfig
-from .trainer import run_experiment
+from .trainer import Diverged, run_experiment
 
 METRIC_NAMES = ("acc", "fm", "la")
 
 
 def _load_config(path, overrides=None):
-    if path:
-        return parse_config(path, overrides)
-    cfg = ExperimentConfig()
-    for key, raw in (overrides or {}).items():
-        apply_override(cfg, key, raw)
-    return validate(cfg)
+    return parse_config(path, overrides) if path else parse_config_text("", overrides)
 
 
 def _thread_cap():
@@ -233,6 +221,9 @@ def main(argv=None):
     except (ConfigError, InvalidConfig) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Diverged as exc:
+        print(f"error: {exc}; try a smaller train.lr", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

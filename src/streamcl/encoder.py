@@ -236,19 +236,17 @@ def load_pyramid_file(path):
     return levels
 
 
-class StoredPyramidEncoder:
+class StoredPyramidEncoder(MultiScaleEncoder):
     """Serves precomputed pyramid levels by global sample index.
 
     A drop-in for :class:`MultiScaleEncoder` when features were computed
-    elsewhere; the container's batch axis must cover every sample index the
-    stream will request.
+    elsewhere: it has no stages, only the mixer, and the container's batch
+    axis must cover every sample index the stream will request.
     """
 
     def __init__(self, levels, mixer, input_channels, stage_channels):
+        super().__init__([], mixer, input_channels, stage_channels)
         self.levels = levels
-        self.mixer = mixer
-        self.input_channels = input_channels
-        self.stage_channels = tuple(stage_channels)
         counts = {l.shape[0] for l in levels}
         if len(counts) != 1:
             raise InvalidConfig("stored levels disagree on sample count")
@@ -265,9 +263,3 @@ class StoredPyramidEncoder:
         if idx.size and (idx.min() < 0 or idx.max() >= self.sample_count):
             raise InvalidConfig("sample index outside the stored pyramid range")
         return FeaturePyramid([Tensor(l[idx]) for l in self.levels])
-
-    def kernel_bytes(self):
-        return b"".join(k.data.tobytes() for k in self.mixer.all_kernels())
-
-    def features(self, x, mode, indices=None):
-        return aggregate(self.extract(x, indices), mode, self.mixer)

@@ -26,10 +26,10 @@ from .tensor import (
     log_softmax,
     matmul,
     no_grad,
-    pick,
     power,
     softmax,
     sum_,
+    take,
     transpose2d,
 )
 
@@ -75,7 +75,7 @@ def ce_loss(logits, labels):
     k = logits.shape[1]
     if labels.size and (labels.min() < 0 or labels.max() >= k):
         raise LabelOutOfRange(f"labels must lie in [0,{k})")
-    picked = pick(log_softmax(logits, axis=1), labels)
+    picked = take(log_softmax(logits, axis=1), (np.arange(labels.size), labels))
     return sum_(picked) * (-1.0 / labels.size)
 
 

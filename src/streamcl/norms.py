@@ -24,12 +24,11 @@ from .tensor import (
     Tensor,
     add,
     concat_channels,
-    element,
     moments,
     power,
     reshape,
     softmax,
-    split_halves,
+    take,
 )
 
 NORM_KINDS = ("bn", "in", "ln", "gn", "sn", "cn", "spn")
@@ -192,7 +191,7 @@ class MomentNorm(NormLayer):
 
 def _blend(weights, stats):
     """``w0*s0 + w1*s1 + ...``, summed left to right."""
-    return reduce(add, (element(weights, i) * s for i, s in enumerate(stats)))
+    return reduce(add, (take(weights, i) * s for i, s in enumerate(stats)))
 
 
 class BatchNorm(MomentNorm):
@@ -307,8 +306,8 @@ class SplitParallelNorm(NormLayer):
 
     def __call__(self, x):
         _check_input(x, self.channels)
-        a1, a2 = split_halves(x)
-        return concat_channels(self.bn(a1), self.inln(a2))
+        h = self.channels // 2
+        return concat_channels(self.bn(take(x, np.s_[:, :h])), self.inln(take(x, np.s_[:, h:])))
 
 
 def make_norm(kind, channels, groups=2, momentum=0.1, epsilon=1e-5, prefix="norm"):

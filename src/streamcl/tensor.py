@@ -347,12 +347,9 @@ def mean_(a, axes=None, keepdims=False):
 def moments(a, axes):
     """Mean and biased variance over ``axes``, reduced axes kept at extent 1."""
     a = _coerce(a)
-    axes = _norm_axes(axes, a.ndim)
-    n = int(np.prod([a.shape[i] for i in axes]))
-    mean = mul(sum_(a, axes, keepdims=True), 1.0 / n)
+    mean = mean_(a, axes, keepdims=True)
     diff = sub(a, mean)
-    var = mul(sum_(mul(diff, diff), axes, keepdims=True), 1.0 / n)
-    return mean, var
+    return mean, mean_(mul(diff, diff), axes, keepdims=True)
 
 
 def reshape(a, shape):
@@ -361,21 +358,6 @@ def reshape(a, shape):
     if int(np.prod(shape)) != a.size:
         raise ShapeMismatch(f"cannot reshape {a.shape} to {shape}")
     return _from_op(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.data.shape),))
-
-
-def element(a, i):
-    """Scalar tensor holding flat element ``i``; gradient scatters back."""
-    a = _coerce(a)
-    i = int(i)
-    if not 0 <= i < a.size:
-        raise ShapeMismatch(f"flat index {i} out of range for size {a.size}")
-
-    def backward(g):
-        full = np.zeros_like(a.data)
-        full.reshape(-1)[i] = g
-        return (full,)
-
-    return _from_op(np.float64(a.data.reshape(-1)[i]), (a,), backward)
 
 
 def matmul(a, b):
@@ -396,34 +378,25 @@ def transpose2d(a):
     return _from_op(a.data.T.copy(), (a,), lambda g: (g.T,))
 
 
-def take_rows(a, rows):
-    """Gather rows of a 2-axis tensor; gradient scatters back."""
+def take(a, index):
+    """``a[index]`` for any numpy index: int, slice, tuple, list, array or ``np.ix_``.
+
+    The forward is a C-ordered copy; the gradient scatters back into zeros
+    laid out like ``a``.
+    """
     a = _coerce(a)
-    if a.ndim != 2:
-        raise ShapeMismatch("take_rows expects a 2-axis tensor")
-    idx = np.asarray(rows, dtype=np.int64)
+    parts = index if isinstance(index, tuple) else (index,)
+    basic = all(isinstance(p, (int, np.integer, slice)) for p in parts)
 
     def backward(g):
         full = np.zeros_like(a.data)
-        np.add.at(full, idx, g)
+        if basic:  # ints and slices select each element at most once
+            full[index] = g
+        else:  # an array index may repeat an element, whose gradients must sum
+            np.add.at(full, index, g)
         return (full,)
 
-    return _from_op(a.data[idx].copy(), (a,), backward)
-
-
-def take_columns(a, cols):
-    """Gather columns of a 2-axis tensor; gradient scatters back."""
-    a = _coerce(a)
-    if a.ndim != 2:
-        raise ShapeMismatch("take_columns expects a 2-axis tensor")
-    idx = np.asarray(cols, dtype=np.int64)
-
-    def backward(g):
-        full = np.zeros_like(a.data)
-        np.add.at(full.T, idx, g.T)
-        return (full,)
-
-    return _from_op(a.data[:, idx].copy(), (a,), backward)
+    return _from_op(a.data[index].copy(), (a,), backward)
 
 
 def clip(a, lo, hi):
@@ -550,30 +523,7 @@ def bilinear_up2x(x):
     return _from_op(resample(x.data, mw, mh), (x,), lambda g: (resample(g, mw.T, mh.T),))
 
 
-# channel split / concat ---------------------------------------------------
-
-def split_halves(x):
-    x = _coerce(x)
-    if x.ndim != 4:
-        raise ShapeMismatch("split_halves expects a 4-axis tensor")
-    c = x.shape[1]
-    if c % 2:
-        raise OddChannelCount(f"cannot halve {c} channels")
-    h = c // 2
-
-    def bw_lo(g):
-        full = np.zeros_like(x.data)
-        full[:, :h] = g
-        return (full,)
-
-    def bw_hi(g):
-        full = np.zeros_like(x.data)
-        full[:, h:] = g
-        return (full,)
-
-    return (_from_op(x.data[:, :h].copy(), (x,), bw_lo),
-            _from_op(x.data[:, h:].copy(), (x,), bw_hi))
-
+# channel concat ---------------------------------------------------------
 
 def concat_channels(a, b):
     a, b = _coerce(a), _coerce(b)
@@ -591,13 +541,17 @@ def concat_channels(a, b):
 
 # softmax family -----------------------------------------------------------
 
-def softmax(x, axis=-1, temperature=1.0):
-    x = _coerce(x)
+def _tempered(x, axis, temperature):
+    """``x / temperature`` shifted so its maximum along ``axis`` is 0."""
     if temperature <= 0:
         raise InvalidConfig(f"temperature must be positive, got {temperature}")
     z = x.data / temperature
-    z = z - z.max(axis=axis, keepdims=True)
-    e = np.exp(z)
+    return z - z.max(axis=axis, keepdims=True)
+
+
+def softmax(x, axis=-1, temperature=1.0):
+    x = _coerce(x)
+    e = np.exp(_tempered(x, axis, temperature))
     p = e / e.sum(axis=axis, keepdims=True)
 
     def backward(g):
@@ -609,32 +563,13 @@ def softmax(x, axis=-1, temperature=1.0):
 
 def log_softmax(x, axis=-1, temperature=1.0):
     x = _coerce(x)
-    if temperature <= 0:
-        raise InvalidConfig(f"temperature must be positive, got {temperature}")
-    z = x.data / temperature
-    z = z - z.max(axis=axis, keepdims=True)
+    z = _tempered(x, axis, temperature)
     ls = z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
 
     def backward(g):
         return ((g - np.exp(ls) * g.sum(axis=axis, keepdims=True)) / temperature,)
 
     return _from_op(ls, (x,), backward)
-
-
-def pick(x, indices):
-    """Select x[i, indices[i]] along axis 1 of a 2-axis tensor."""
-    x = _coerce(x)
-    if x.ndim != 2:
-        raise ShapeMismatch("pick expects a 2-axis tensor")
-    idx = np.asarray(indices, dtype=np.int64)
-    rows = np.arange(x.shape[0])
-
-    def backward(g):
-        full = np.zeros_like(x.data)
-        np.add.at(full, (rows, idx), g)
-        return (full,)
-
-    return _from_op(x.data[rows, idx].copy(), (x,), backward)
 
 
 # gradient verification -----------------------------------------------------

@@ -48,9 +48,24 @@ from .tensor import (
     no_grad,
     relu,
     reshape,
-    take_columns,
-    take_rows,
+    take,
 )
+
+
+class Diverged(RuntimeError):
+    """Training drove a parameter to NaN or infinity."""
+
+
+def _check_finite(params, task_id, batch, update):
+    """Raise :class:`Diverged` naming the first non-finite parameter.
+
+    The loss alone cannot show divergence: ``relu`` maps NaN activations to
+    0, so the logits and the loss of a NaN-ridden classifier can stay finite.
+    """
+    for p in params:
+        if not np.isfinite(p.data).all():
+            raise Diverged(f"training diverged at task {task_id}, batch {batch}, "
+                           f"update {update}: {p.name} is not finite")
 
 
 class SGD:
@@ -230,7 +245,7 @@ def _masked_ce(logits, ys, task_ids, class_sets):
     for t in np.unique(task_ids):
         rows = np.flatnonzero(task_ids == t)
         cols = np.asarray(class_sets[int(t)])
-        local = take_columns(take_rows(logits, rows), cols)
+        local = take(logits, np.ix_(rows, cols))
         local_ys = np.searchsorted(cols, ys[rows])
         part = losses.ce_loss(local, local_ys) * (len(rows) / n)
         total = part if total is None else total + part
@@ -255,19 +270,15 @@ class Trainer:
                                  cfg.stream.test_samples, cfg.stream.dims,
                                  cfg.stream.channels, seed=ss_data,
                                  data_dir=cfg.stream.data_dir or None)
+        encoder = MultiScaleEncoder.from_seed(ss_init, cfg.stream.channels,
+                                              cfg.encoder.stage_channels,
+                                              cfg.encoder.aggregate_channels)
         if cfg.encoder.pyramid_file:
-            probe = MultiScaleEncoder.from_seed(ss_init, cfg.stream.channels,
-                                                cfg.encoder.stage_channels,
-                                                cfg.encoder.aggregate_channels)
             encoder = StoredPyramidEncoder.from_file(
-                cfg.encoder.pyramid_file, probe.mixer, cfg.stream.channels,
+                cfg.encoder.pyramid_file, encoder.mixer, cfg.stream.channels,
                 cfg.encoder.stage_channels)
             if encoder.sample_count < stream.total_samples:
                 raise InvalidConfig("pyramid file covers fewer samples than the stream")
-        else:
-            encoder = MultiScaleEncoder.from_seed(ss_init, cfg.stream.channels,
-                                                  cfg.encoder.stage_channels,
-                                                  cfg.encoder.aggregate_channels)
         rng_init = np.random.default_rng(ss_init.spawn(1)[0])
         arch = "full" if cfg.encoder.aggregate_mode == "top_down" else "head_only"
         in_shape = self._feature_shape(stream, encoder)
@@ -318,7 +329,7 @@ class Trainer:
         task_free = cfg.loss.distill_variant == "tf"
         weights = self._weights()
         aug = (tuple(cfg.stream.augment_ops), cfg.stream.augment)
-        for batch in state.stream.train_batches(task_idx, cfg.train.batch):
+        for b, batch in enumerate(state.stream.train_batches(task_idx, cfg.train.batch)):
             xs_stream = augment_batch(batch.xs, aug[0], aug[1], state.rngs["augment"],
                                       is_replay=False, target_dims=cfg.stream.dims)
             h_cur = _features(state, xs_stream, batch.indices)
@@ -351,6 +362,7 @@ class Trainer:
                 loss.backward()
                 state.optimizer.step()
                 state.losses_seen.append(loss.item())
+                _check_finite(state.optimizer.params, task_id, b + 1, len(state.losses_seen))
             if cfg.replay.enabled:
                 for i in range(len(batch.ys)):
                     label = int(batch.ys[i])

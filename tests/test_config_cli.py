@@ -304,6 +304,19 @@ class TestCmdRun:
         metrics = dict(line.split(" = ") for line in (out / "metrics.txt").read_text().splitlines())
         assert all(np.isfinite(float(metrics[f"{m}_seed0"])) for m in ("acc", "fm", "la"))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_exits_1_without_a_bundle(self, tmp_path, capsys):
+        # relu maps NaN activations to 0, so the loss stays finite while the
+        # convolutions and norms are NaN; only the parameters show it
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text("[stream]\nsamples_per_task = 60\n[train]\nlr = 1000\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out), "--seeds", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: training diverged at task 2, batch 6, update 24: clf.conv1 ")
+        assert "train.lr" in err
+        assert os.listdir(out) == []
+
     def test_seed_override_flag(self, tmp_path):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(TINY_FILE)

@@ -354,11 +354,12 @@ def parent_norm(layer, x):
     def std(x, mean, var):
         return (x - mean) * T.power(var + layer.epsilon, -0.5)
 
-    kind, e = layer.kind, T.element
+    kind, e = layer.kind, T.take
     if kind == "cn":
         return parent_norm(layer.bn, parent_norm(layer.gn, x))
     if kind == "spn":
-        a1, a2 = T.split_halves(x)
+        h = x.shape[1] // 2
+        a1, a2 = T.take(x, np.s_[:, :h]), T.take(x, np.s_[:, h:])
         return T.concat_channels(parent_norm(layer.bn, a1), parent_norm(layer.inln, a2))
     if kind == "bn":
         mean, var = layer.stats.batch_stats(x, layer.training)

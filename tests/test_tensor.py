@@ -1,5 +1,8 @@
 """Tensor core: forward semantics, backward rules, and the finite-difference oracle."""
 
+import inspect
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +16,6 @@ from streamcl.tensor import (
     InvalidConfig,
     NondeterministicFunction,
     NotScalar,
-    OddChannelCount,
     Parameter,
     ShapeMismatch,
     Tensor,
@@ -312,36 +314,147 @@ class TestMoments:
             T.moments(Tensor([1.0]), axes=())
 
 
+def split(x):
+    """The channel halves the split-parallel norm takes."""
+    h = x.shape[1] // 2
+    return T.take(x, np.s_[:, :h]), T.take(x, np.s_[:, h:])
+
+
 class TestSplitConcat:
     def test_split_shapes(self):
         x = Tensor(np.arange(16.0).reshape(1, 8, 1, 2))
-        a, b = T.split_halves(x)
+        a, b = split(x)
         assert a.shape == (1, 4, 1, 2) and b.shape == (1, 4, 1, 2)
 
     def test_roundtrip_identity(self):
         rng = np.random.default_rng(2)
         x = Tensor(rng.normal(size=(2, 6, 2, 2)))
-        a, b = T.split_halves(x)
+        a, b = split(x)
         back = T.concat_channels(a, b)
         np.testing.assert_array_equal(back.data, x.data)
-
-    def test_odd_channels(self):
-        with pytest.raises(OddChannelCount):
-            T.split_halves(Tensor(np.ones((1, 7, 2, 2))))
 
     def test_gradient_roundtrip_exact(self):
         rng = np.random.default_rng(4)
         x = Tensor(rng.normal(size=(2, 4, 2, 2)), requires_grad=True)
-        a, b = T.split_halves(x)
+        a, b = split(x)
         w = rng.normal(size=(2, 4, 2, 2))
         (T.concat_channels(a, b) * Tensor(w)).sum().backward()
         np.testing.assert_array_equal(x.grad, w)
 
     def test_gradient_routes_to_matching_half(self):
         x = Tensor(np.ones((1, 4, 1, 1)), requires_grad=True)
-        a, _b = T.split_halves(x)
+        a, _b = split(x)
         a.sum().backward()
         np.testing.assert_array_equal(x.grad[0, :, 0, 0], [1.0, 1.0, 0.0, 0.0])
+
+
+def parent_gathers():
+    """The five gather ops ``take`` replaced, as they were: the parity oracle."""
+    def element(a, i):
+        def backward(g):
+            full = np.zeros_like(a.data)
+            full.reshape(-1)[i] = g
+            return (full,)
+        return T._from_op(np.float64(a.data.reshape(-1)[i]), (a,), backward)
+
+    def take_rows(a, rows):
+        idx = np.asarray(rows, dtype=np.int64)
+
+        def backward(g):
+            full = np.zeros_like(a.data)
+            np.add.at(full, idx, g)
+            return (full,)
+        return T._from_op(a.data[idx].copy(), (a,), backward)
+
+    def take_columns(a, cols):
+        idx = np.asarray(cols, dtype=np.int64)
+
+        def backward(g):
+            full = np.zeros_like(a.data)
+            np.add.at(full.T, idx, g.T)
+            return (full,)
+        return T._from_op(a.data[:, idx].copy(), (a,), backward)
+
+    def pick(x, indices):
+        idx, rows = np.asarray(indices, dtype=np.int64), np.arange(x.shape[0])
+
+        def backward(g):
+            full = np.zeros_like(x.data)
+            np.add.at(full, (rows, idx), g)
+            return (full,)
+        return T._from_op(x.data[rows, idx].copy(), (x,), backward)
+
+    def split_halves(x):
+        h = x.shape[1] // 2
+
+        def bw_lo(g):
+            full = np.zeros_like(x.data)
+            full[:, :h] = g
+            return (full,)
+
+        def bw_hi(g):
+            full = np.zeros_like(x.data)
+            full[:, h:] = g
+            return (full,)
+        return (T._from_op(x.data[:, :h].copy(), (x,), bw_lo),
+                T._from_op(x.data[:, h:].copy(), (x,), bw_hi))
+
+    return element, take_rows, take_columns, pick, split_halves
+
+
+class TestTake:
+    """``take`` against the parent's gather ops: equal forward values, equal
+    gradients with equal memory layout, and C-ordered split halves."""
+
+    @staticmethod
+    def assert_same(out, ref, rng):
+        assert np.array_equal(out.data, ref.data) and out.data.shape == ref.data.shape
+        g = rng.normal(size=out.shape)
+        (gout,), (gref,) = out._backward(g), ref._backward(g)
+        assert np.array_equal(gout, gref) and gout.strides == gref.strides
+
+    def test_matches_parent_gathers(self):
+        element, take_rows, take_columns, pick, _ = parent_gathers()
+        rng = np.random.default_rng(0)
+        for _ in range(5):
+            m = Parameter(rng.normal(size=(7, 5)), "m")
+            w = Parameter(rng.normal(size=(3,)), "w")
+            x = Parameter(rng.normal(size=(2, 3, 4, 4)), "x")
+            labels = rng.integers(0, 5, size=7)
+            rows, cols = np.flatnonzero(labels % 2 == 0), np.array([1, 3, 4])
+            for i in range(3):
+                self.assert_same(T.take(w, i), element(w, i), rng)
+            self.assert_same(T.take(x, (0, 0, 0, 0)), element(x, 0), rng)
+            self.assert_same(T.take(m, (np.arange(7), labels)), pick(m, labels), rng)
+            # one node where the parent took two: chain their backward rules
+            one, inner = T.take(m, np.ix_(rows, cols)), take_rows(m, rows)
+            two = take_columns(inner, cols)
+            assert np.array_equal(one.data, two.data)
+            g = rng.normal(size=one.shape)
+            (g_one,), (g_two,) = one._backward(g), inner._backward(two._backward(g)[0])
+            assert np.array_equal(g_one, g_two) and g_one.strides == g_two.strides
+
+    def test_split_of_conv_output_matches_parent(self):
+        *_, split_halves = parent_gathers()
+        rng = np.random.default_rng(1)
+        x = Tensor(rng.normal(size=(64, 8, 16, 16)))
+        k = Parameter(rng.normal(size=(16, 8, 3, 3)), "k")
+        y = T.conv2d(x, k, stride=2, padding=1)  # transposed memory layout
+        assert not y.data.flags.c_contiguous
+        for out, ref in zip(split(y), split_halves(y)):
+            self.assert_same(out, ref, rng)
+            assert out.data.flags.c_contiguous
+
+    def test_repeated_index_sums_its_gradient(self):
+        a = Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
+        out = T.take(a, [0, 0, 2])
+        assert np.array_equal(out.data, a.data[[0, 0, 2]])
+        out.sum().backward()
+        np.testing.assert_array_equal(a.grad[:, 0], [2.0, 0.0, 1.0, 0.0])
+
+    def test_out_of_range_index_raises(self):
+        with pytest.raises(IndexError):
+            T.take(Tensor(np.zeros(3)), 3)
 
 
 class TestSoftmax:
@@ -415,6 +528,40 @@ class TestBackward:
         np.testing.assert_array_equal(b.grad, [2.0])
 
 
+def every_op_objective(seed):
+    """The per-op sweep's objective and its parameters."""
+    rng = np.random.default_rng(seed)
+    x = Parameter(rng.normal(size=(2, 4, 4, 4)) + 0.2, "x")
+    k3 = Parameter(rng.normal(size=(4, 4, 3, 3)) * 0.3, "k3")
+    k1 = Parameter(rng.normal(size=(4, 4, 1, 1)) * 0.3, "k1")
+    v = Parameter(rng.normal(size=(3,)), "v")
+    w = Parameter(rng.normal(size=(2, 3)), "w")
+
+    def f():
+        y = T.conv2d(x, k3, stride=1, padding=1)
+        y = T.relu(y)
+        y = T.conv2d(y, k1, stride=1, padding=0)
+        y = T.maxpool2x2(y)
+        y = T.bilinear_up2x(y)
+        a, b = split(y)
+        y = T.concat_channels(a * 0.5, b + 1.0)
+        m, var = T.moments(y, axes=(0, 2, 3))
+        y = (y - m) * T.power(var + 1e-3, -0.5)
+        s = T.softmax(y.reshape((2, 64)), axis=1, temperature=2.0)
+        ls = T.log_softmax(y.reshape((2, 64)), axis=1)
+        p = T.take(ls, (np.arange(2), [1, 3]))
+        r = T.take(v, [2, 2, 0])  # a repeated entry: its gradients must sum
+        vm = T.matmul(w, T.softmax(v, axis=0).reshape((3, 1)))
+        wt = T.neg(T.transpose2d(w))
+        ac = T.arccos(T.clip(T.take(v, 0), -0.9, 0.9))
+        total = (s * s).sum() + p.sum() * 0.1 + vm.sum() + ac * 0.05
+        total = total + (r * r).sum() * 0.1 + T.matmul(wt, w).sum() * 0.1
+        total = total + T.exp(T.take(v, 1) * 0.1) + T.log(T.take(v, 2) * T.take(v, 2) + 1.0)
+        return total
+
+    return f, [x, k3, k1, v, w]
+
+
 class TestGradientChecks:
     def test_quadratic_near_exact(self):
         rng = np.random.default_rng(0)
@@ -453,34 +600,29 @@ class TestGradientChecks:
     @pytest.mark.parametrize("seed", range(20))
     def test_every_op_gradient(self, seed):
         """Composite graph touching every differentiable op, 20 seeds."""
-        rng = np.random.default_rng(seed)
-        x = Parameter(rng.normal(size=(2, 4, 4, 4)) + 0.2, "x")
-        k3 = Parameter(rng.normal(size=(4, 4, 3, 3)) * 0.3, "k3")
-        k1 = Parameter(rng.normal(size=(4, 4, 1, 1)) * 0.3, "k1")
-        v = Parameter(rng.normal(size=(3,)), "v")
-        w = Parameter(rng.normal(size=(2, 3)), "w")
-
-        def f():
-            y = T.conv2d(x, k3, stride=1, padding=1)
-            y = T.relu(y)
-            y = T.conv2d(y, k1, stride=1, padding=0)
-            y = T.maxpool2x2(y)
-            y = T.bilinear_up2x(y)
-            a, b = T.split_halves(y)
-            y = T.concat_channels(a * 0.5, b + 1.0)
-            m, var = T.moments(y, axes=(0, 2, 3))
-            y = (y - m) * T.power(var + 1e-3, -0.5)
-            s = T.softmax(y.reshape((2, 64)), axis=1, temperature=2.0)
-            ls = T.log_softmax(y.reshape((2, 64)), axis=1)
-            p = T.pick(ls, [1, 3])
-            vm = T.matmul(w, T.softmax(v, axis=0).reshape((3, 1)))
-            ac = T.arccos(T.clip(T.element(v, 0), -0.9, 0.9))
-            total = (s * s).sum() + p.sum() * 0.1 + vm.sum() + ac * 0.05
-            total = total + T.exp(T.element(v, 1) * 0.1) + T.log(T.element(v, 2) * T.element(v, 2) + 1.0)
-            return total
-
-        report = T.finite_difference_check(f, [x, k3, k1, v, w], step=1e-6, tol=1e-4)
+        f, params = every_op_objective(seed)
+        report = T.finite_difference_check(f, params, step=1e-6, tol=1e-4)
         assert report.passed, report
+
+    def test_sweep_runs_every_backward_rule(self, monkeypatch):
+        """Every op that records a backward rule has that rule run by the sweep."""
+        rules = {name for name, fn in vars(T).items() if inspect.isfunction(fn)
+                 and "_from_op" in inspect.getclosurevars(fn).globals}
+        ran, from_op = set(), T._from_op
+
+        def recording_from_op(data, parents, backward):
+            op = sys._getframe(1).f_code.co_name
+
+            def recorded(g):
+                ran.add(op)
+                return backward(g)
+            return from_op(data, parents, recorded)
+
+        monkeypatch.setattr(T, "_from_op", recording_from_op)
+        f, _ = every_op_objective(0)
+        f().backward()
+        assert "take" in rules and "conv2d" in rules
+        assert ran == rules
 
 
 class TestProperties:

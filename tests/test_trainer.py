@@ -305,6 +305,63 @@ batch = 10
         assert elapsed < 60, f"{elapsed:.1f}s"
 
 
+class TestKnobs:
+    """The config values that no other trainer test turns on."""
+
+    @pytest.mark.parametrize("draw, per_batch", [("single", 1), ("per_update", 2)])
+    def test_replay_draw(self, monkeypatch, draw, per_batch):
+        calls = []
+
+        def counting(buffer, *args, **kwargs):
+            calls.append(len(buffer))
+            return buffer_sample(buffer, *args, **kwargs)
+
+        monkeypatch.setattr(trainer_module, "buffer_sample", counting)
+        trainer = Trainer(tiny_cfg(train=f"replay_draw = {draw}"), seed=0)
+        state = trainer.build_state()
+        trainer.train_task(state, 0)
+        # 4 batches x 2 inner updates; the buffer holds samples from batch 2 on
+        assert len(calls) == 3 * per_batch and min(calls) > 0
+
+    def test_aggregate_channels(self):
+        default = Trainer(tiny_cfg(), seed=0).build_state()
+        cfg = tiny_cfg()
+        cfg.encoder.aggregate_channels = 6
+        state = Trainer(cfg, seed=0).build_state()
+        x = state.stream.tasks[0].train.xs[:3]
+        feats = trainer_module._features(state, x, np.arange(3))
+        assert feats.shape[1] == 6 and state.classifier.config["input_shape"][0] == 6
+        assert trainer_module._features(default, x, np.arange(3)).shape[1] == 4
+        # the extra projection is drawn last: every other kernel is the default draw
+        enc, ref = state.encoder, default.encoder
+        kernels = [s.kernel for s in enc.stages] + enc.mixer.all_kernels()[:-1]
+        ref_kernels = [s.kernel for s in ref.stages] + ref.mixer.all_kernels()
+        assert [k.data.tobytes() for k in kernels] == [k.data.tobytes() for k in ref_kernels]
+        assert enc.mixer.output.shape == (6, 4, 3, 3) and ref.mixer.output is None
+
+    def test_penultimate_embedding(self):
+        trainer = Trainer(tiny_cfg(loss="distill_variant = csd\nembedding = penultimate"), seed=1)
+        state = trainer.build_state()
+        for t in range(2):
+            trainer.train_task(state, t)
+            trainer.end_of_task(state, t + 1)
+        clf = state.classifier
+        (pair,) = state.tuple_set.pairs
+        with T.no_grad():
+            rows = clf.embed(pair.anchor_features)
+            assert rows.shape == (len(pair.anchor_features), clf.flat_dim)
+            with clf.eval_mode():
+                anchors = clf.penultimate(Tensor(pair.anchor_features))
+                tuples = clf.penultimate(Tensor(pair.tuple_features))
+                logit_pot = potential_matrix(clf.forward(Tensor(pair.anchor_features)),
+                                             clf.forward(Tensor(pair.tuple_features)),
+                                             "cosine", trainer.cfg.loss.tau_teacher)
+            pot = potential_matrix(anchors, tuples, "cosine", trainer.cfg.loss.tau_teacher)
+        assert np.array_equal(rows.data, anchors.data)
+        assert np.array_equal(pair.teacher_potential, pot.data)
+        assert not np.array_equal(pair.teacher_potential, logit_pot.data)
+
+
 class TestModes:
     def test_multi_head_runs_and_scores(self):
         cfg = tiny_cfg(loss="distill_variant = none\nlambda_dctn = 0")
