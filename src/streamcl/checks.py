@@ -13,7 +13,12 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .losses import potential_matrix, score_matrix
+from .losses import (
+    build_tuple_set,
+    potential_matrix,
+    structurewise_distill,
+    structurewise_pairs,
+)
 from .memory import ReservoirBuffer
 from .norms import BatchNorm, GroupNorm, InstanceNorm, LayerNorm, SplitParallelNorm
 from .streams import compute_metrics
@@ -85,14 +90,13 @@ def _potentials_group():
                             z * rng.uniform(0.2, 5, (4, 1)), metric, 1.0)
         if not np.allclose(scaled, potentials(a, z, metric, 1.0), atol=1e-9):
             return False, f"{metric}: not scale invariant"
-    # stationarity of the potential cross-entropy at equal embeddings
+    # stationarity of the structure-wise loss at the snapshot, over two csd tasks
     w = Parameter(rng.normal(size=(6, 4)), "w")
-    feats_a, feats_z = rng.normal(size=(4, 6)), rng.normal(size=(4, 6))
-    teacher = potentials(feats_a @ w.data, feats_z @ w.data, "cosine", 2.0)
-    logq = T.log_softmax(score_matrix(T.matmul(Tensor(feats_a), w),
-                                      T.matmul(Tensor(feats_z), w), "cosine"),
-                         axis=1, temperature=2.0)
-    (T.sum_(Tensor(teacher) * logq) * -1.0).backward()
+    w0 = w.data.copy()
+    feats = {1: rng.normal(size=(4, 6)), 2: rng.normal(size=(4, 6))}
+    tset = build_tuple_set("cosine", structurewise_pairs("csd", 3), feats, feats,
+                           lambda f: f @ w0, 2.0)
+    structurewise_distill(tset, lambda f: T.matmul(Tensor(f), w), 2.0).backward()
     if np.abs(w.grad).max() >= 1e-8:
         return False, f"stationarity violated: grad {np.abs(w.grad).max():.2e}"
     return True, "probability, scale-invariance and stationarity hold"

@@ -182,6 +182,8 @@ def _parse_seeds(raw):
         raise ConfigError(f"--seeds must be comma-separated integers, got {raw!r}")
     if not seeds:
         raise ConfigError("--seeds must list at least one seed")
+    if min(seeds) < 0:
+        raise ConfigError(f"--seeds must be non-negative, got {raw!r}")
     return seeds
 
 

@@ -304,6 +304,7 @@ def validate(cfg):
     _require(t.inner_updates >= 0, "train.inner_updates", "must be >= 0")
     _require(len(t.seeds) >= 1, "train.seeds", "need at least one seed")
     _require(len(set(t.seeds)) == len(t.seeds), "train.seeds", "seeds must be unique")
+    _require(all(seed >= 0 for seed in t.seeds), "train.seeds", "seeds must be non-negative")
     _require(t.replay_draw in ("per_update", "single"), "train.replay_draw",
              "per_update or single")
     return cfg

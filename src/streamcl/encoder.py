@@ -254,7 +254,19 @@ class StoredPyramidEncoder(MultiScaleEncoder):
 
     @classmethod
     def from_file(cls, path, mixer, input_channels, stage_channels):
-        return cls(load_pyramid_file(path), mixer, input_channels, stage_channels)
+        """Load ``path``; its channels must match ``stage_channels`` and its dims halve."""
+        levels = load_pyramid_file(path)
+        if len(levels) > len(stage_channels):
+            raise InvalidConfig(f"{path}: {len(levels)} levels but only "
+                                f"{len(stage_channels)} stage channel counts")
+        for i, level in enumerate(levels):
+            if level.shape[1] != stage_channels[i]:
+                raise InvalidConfig(f"{path}: level {i + 1} has {level.shape[1]} channels, "
+                                    f"stage_channels gives {stage_channels[i]}")
+            if i and tuple(2 * d for d in level.shape[2:]) != levels[i - 1].shape[2:]:
+                raise InvalidConfig(f"{path}: level {i + 1} is {level.shape[2:]}, not half "
+                                    f"of level {i}'s {levels[i - 1].shape[2:]}")
+        return cls(levels, mixer, input_channels, stage_channels)
 
     def extract(self, x, indices=None):
         if indices is None:

@@ -157,73 +157,80 @@ def tf_pair_indices(unique_classes, new_task_threshold):
 
 @dataclass
 class DistillPair:
-    """One anchor-task/tuple-task pairing with its frozen teacher potential."""
+    """One anchor-task/tuple-task pairing: its rows of the stacked features
+    and its frozen teacher potential."""
 
     anchor_task: int
     tuple_task: int
-    anchor_features: np.ndarray
-    tuple_features: np.ndarray
+    anchor_rows: slice
+    tuple_rows: slice
     teacher_potential: np.ndarray
 
 
 @dataclass
 class DistillTupleSet:
-    """End-of-task selection: cached features, ids, and teacher potentials."""
+    """End-of-task selection: every cached feature block stacked once, and
+    the pairs that index into it."""
 
-    snapshot_task: int
-    variant: str
     metric: str
+    features: np.ndarray | None
     pairs: list = field(default_factory=list)
-    sample_ids: dict = field(default_factory=dict)
 
 
-def build_tuple_set(snapshot_task, variant, metric, pair_indices, features_by_task,
-                    teacher_embed, tau_teacher, sample_ids=None):
-    """Assemble a tuple set and precompute the teacher potentials.
+def build_tuple_set(metric, pair_indices, anchors, tuples, teacher_embed, tau_teacher):
+    """Stack the cached features and precompute the teacher potentials.
 
-    ``features_by_task`` maps task id to (anchor_features, tuple_features);
-    ``teacher_embed`` maps a feature batch to embedding rows (a tensor or
-    an array) under the frozen snapshot. Teacher potentials go through the
-    same :func:`potential_matrix` as the student's, without a graph.
+    ``anchors`` and ``tuples`` map a task id to its feature rows; a pair
+    whose anchor or tuple side is missing or empty is skipped. An array
+    that serves as both a task's anchors and its tuples is stacked once.
+    ``teacher_embed`` maps the stack to embedding rows (a tensor or an
+    array) under the frozen snapshot, in one call. Teacher potentials go
+    through the same :func:`potential_matrix` as the student's, without a
+    graph.
     """
-    tset = DistillTupleSet(snapshot_task, variant, metric,
-                           sample_ids=dict(sample_ids or {}))
-    emb_cache = {}
+    rows, blocks, live = {}, [], []
 
-    def embed(feats):  # keyed by array identity: a task's anchors and tuples are often one array
-        if id(feats) not in emb_cache:
-            out = teacher_embed(feats)
-            emb_cache[id(feats)] = out if isinstance(out, Tensor) else Tensor(out)
-        return emb_cache[id(feats)]
+    def place(task, side, block):
+        key = (task, "both" if anchors.get(task) is tuples.get(task) else side)
+        if key not in rows:
+            start = sum(len(b) for b in blocks)
+            rows[key] = slice(start, start + len(block))
+            blocks.append(block)
+        return rows[key]
 
     for anchor_task, tuple_task in pair_indices:
-        if anchor_task not in features_by_task or tuple_task not in features_by_task:
-            continue
-        a_feats = features_by_task[anchor_task][0]
-        z_feats = features_by_task[tuple_task][1]
-        if a_feats.shape[0] == 0 or z_feats.shape[0] == 0:
-            continue
-        with no_grad():
-            teacher = potential_matrix(embed(a_feats), embed(z_feats), metric, tau_teacher)
-        tset.pairs.append(DistillPair(anchor_task, tuple_task, a_feats, z_feats, teacher.data))
+        a, z = anchors.get(anchor_task, ()), tuples.get(tuple_task, ())
+        if len(a) and len(z):
+            live.append((anchor_task, tuple_task, place(anchor_task, "anchor", a),
+                         place(tuple_task, "tuple", z)))
+    if not live:
+        return DistillTupleSet(metric, None)
+    tset = DistillTupleSet(metric, np.concatenate(blocks))
+    with no_grad():
+        emb = teacher_embed(tset.features)
+        emb = emb if isinstance(emb, Tensor) else Tensor(emb)
+        for anchor_task, tuple_task, a_rows, z_rows in live:
+            teacher = potential_matrix(take(emb, a_rows), take(emb, z_rows), metric, tau_teacher)
+            tset.pairs.append(DistillPair(anchor_task, tuple_task, a_rows, z_rows, teacher.data))
     return tset
 
 
 def structurewise_distill(tuple_set, student_embed, tau_student, metric=None):
     """Sum of potential cross-entropies over every cached pair.
 
-    ``student_embed`` maps a feature batch to live embedding rows (a
-    tensor on the tape). An empty pair list contributes zero.
+    ``student_embed`` maps the stacked features to live embedding rows (a
+    tensor on the tape) in one call; each pair takes its rows from them.
+    An empty pair list contributes zero.
     """
     if tuple_set is None or not tuple_set.pairs:
         log.debug("structure-wise distillation skipped: no stored task pairs")
         return Tensor(0.0)
     metric = metric or tuple_set.metric
+    emb = student_embed(tuple_set.features)
     total = None
     for pair in tuple_set.pairs:
-        a = student_embed(pair.anchor_features)
-        z = student_embed(pair.tuple_features)
-        logq = log_softmax(score_matrix(a, z, metric), axis=1, temperature=tau_student)
+        scores = score_matrix(take(emb, pair.anchor_rows), take(emb, pair.tuple_rows), metric)
+        logq = log_softmax(scores, axis=1, temperature=tau_student)
         ce = sum_(Tensor(pair.teacher_potential) * logq) * -1.0
         total = ce if total is None else total + ce
     return total

@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import save_pyramid_file
-
 
 class EmptyBuffer(RuntimeError):
     """Sampling requested from a buffer with no stored items."""
@@ -181,17 +179,3 @@ def select_pseudo_task_tuples(buffer, class_order, new_task_threshold,
             anchors[p] = _to_batch(a_items)
     return anchors, tuples
 
-
-def dump_buffer(buffer, path):
-    """Write stored inputs as a one-level pyramid container plus a sidecar
-    text file (one ``label task_id`` pair per line)."""
-    items = buffer.items()
-    if not items:
-        raise EmptyBuffer("nothing to dump")
-    xs = np.stack([it[0] for it in items])
-    save_pyramid_file(path, [xs])
-    sidecar = f"{path}.labels"
-    with open(sidecar, "w", encoding="ascii") as fh:
-        for _, y, t, _ in items:
-            fh.write(f"{y} {t}\n")
-    return sidecar

@@ -94,9 +94,6 @@ class Tensor:
     def _not_scalar(self):
         raise NotScalar(f"expected a single-element tensor, got shape {self.shape}")
 
-    def detach(self):
-        return Tensor(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 

@@ -389,16 +389,11 @@ class Trainer:
         if cfg.loss.distill_variant != "none":
             selection = select_cross_task_tuples(state.buffer, cfg.loss.n_per_task,
                                                  state.rngs["buffer"])
-            feats, ids = {}, {}
-            for t, batch in selection.items():
-                h = _features(state, batch.xs, batch.indices)
-                feats[t] = (h, h)
-                ids[t] = batch.indices
+            feats = {t: _features(state, batch.xs, batch.indices)
+                     for t, batch in selection.items()}
             pairs = structurewise_pairs(cfg.loss.distill_variant, finished_task_id + 1)
-            state.tuple_set = build_tuple_set(finished_task_id, cfg.loss.distill_variant,
-                                              cfg.loss.potential_metric, pairs, feats,
-                                              state.teacher.embed,
-                                              cfg.loss.tau_teacher, sample_ids=ids)
+            state.tuple_set = build_tuple_set(cfg.loss.potential_metric, pairs, feats, feats,
+                                              state.teacher.embed, cfg.loss.tau_teacher)
         return state
 
     def _maybe_pseudo_boundary(self, state):
@@ -413,14 +408,11 @@ class Trainer:
         anchors, tuples = select_pseudo_task_tuples(
             state.buffer, state.class_order, cfg.loss.new_task_classes,
             cfg.loss.n_per_task, cfg.loss.samples_per_class, state.rngs["buffer"])
-        feats = {}
-        for p in set(anchors) | set(tuples):
-            a = _features(state, anchors[p].xs, anchors[p].indices) if p in anchors else np.zeros((0,))
-            z = _features(state, tuples[p].xs, tuples[p].indices) if p in tuples else np.zeros((0,))
-            feats[p] = (a, z)
+        a_feats = {p: _features(state, b.xs, b.indices) for p, b in anchors.items()}
+        z_feats = {p: _features(state, b.xs, b.indices) for p, b in tuples.items()}
         pairs = [(j - 1, j) for j in tf_pair_indices(u, cfg.loss.new_task_classes)]
-        state.tuple_set = build_tuple_set(level, "tf", cfg.loss.potential_metric, pairs,
-                                          feats, state.teacher.embed, cfg.loss.tau_teacher)
+        state.tuple_set = build_tuple_set(cfg.loss.potential_metric, pairs, a_feats, z_feats,
+                                          state.teacher.embed, cfg.loss.tau_teacher)
 
     # evaluation -----------------------------------------------------------
 

@@ -179,8 +179,10 @@ class TestCriterion3Stationarity:
         rng = np.random.default_rng(2)
         for variant in ("csd", "fsd", "lsd", "tf"):
             for metric in ("cosine", "l2", "arccos"):
-                feats = {t: (rng.normal(size=(4, 6)), rng.normal(size=(4, 6)))
+                drawn = {t: (rng.normal(size=(4, 6)), rng.normal(size=(4, 6)))
                          for t in range(1, 6)}
+                anchors = {t: a for t, (a, _) in drawn.items()}
+                tuples = {t: z for t, (_, z) in drawn.items()}
                 w = Parameter(rng.normal(size=(6, 4)), "w")
                 w0 = w.data.copy()
                 if variant == "tf":
@@ -188,7 +190,7 @@ class TestCriterion3Stationarity:
                 else:
                     pairs = structurewise_pairs(variant, 5)
                 assert pairs, (variant, "needs live pairs")
-                tset = build_tuple_set(4, variant, metric, pairs, feats,
+                tset = build_tuple_set(metric, pairs, anchors, tuples,
                                        lambda f: f @ w0, tau_teacher=2.0)
                 w.grad = None
                 loss = structurewise_distill(
@@ -230,7 +232,7 @@ class TestCriterion4Potentials:
         # t = 2: the consecutive-variant sum is empty, hence exactly zero
         assert structurewise_pairs("csd", 2) == []
         w0 = rng.normal(size=(8, 3))
-        tset = build_tuple_set(1, "csd", "cosine", [], {}, lambda f: f @ w0, 2.0)
+        tset = build_tuple_set("cosine", [], {}, {}, lambda f: f @ w0, 2.0)
         assert structurewise_distill(tset, lambda f: Tensor(f @ w0), 2.0).item() == 0.0
 
         # task-free loop bounds: 20 enumerated (u, S) cases of floor division

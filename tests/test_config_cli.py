@@ -21,7 +21,7 @@ from streamcl.config import (
     serialize,
     validate,
 )
-from streamcl.encoder import AGGREGATE_MODES
+from streamcl.encoder import AGGREGATE_MODES, save_pyramid_file
 from streamcl.losses import DISTILL_VARIANTS, POTENTIAL_METRICS
 from streamcl.memory import select_cross_task_tuples
 from streamcl.norms import NORM_KINDS
@@ -161,6 +161,23 @@ class TestParsing:
         cfg_path.write_text(text)
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("error: loss.n_per_task")
+
+
+    def test_negative_seeds_rejected(self, tmp_path, capsys):
+        with pytest.raises(InvalidValue) as err:
+            parse_config_text("[train]\nseeds = -3\n")
+        assert err.value.path == "train.seeds"
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(TINY_FILE.replace("seeds = 0,1", "seeds = -3"))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: train.seeds")
+        cfg_path.write_text(TINY_FILE)
+        assert main(["run", "--config", str(cfg_path), "--out", str(out), "--seeds", "-1"]) == 2
+        assert main(["ablate", "--config", str(cfg_path), "--axis", "model.norm_kind",
+                     "--values", "bn", "--seeds", "0,-1", "--out", str(out)]) == 2
+        assert "--seeds must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCmdRun:
@@ -316,6 +333,22 @@ class TestCmdRun:
         assert err.startswith("error: training diverged at task 2, batch 6, update 24: clf.conv1 ")
         assert "train.lr" in err
         assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("shapes, level", [
+        ([(2, 16, 16)], "level 1 has 2 channels"),
+        ([(4, 16, 16), (4, 16, 16)], "level 2 is (16, 16)"),
+        ([(4, 16, 16), (4, 8, 8), (8, 4, 4), (8, 2, 2), (8, 1, 1)], "5 levels"),
+    ])
+    def test_pyramid_disagreeing_with_config_exits_2(self, tmp_path, capsys, shapes, level):
+        pyramid = tmp_path / "pyr.bin"
+        save_pyramid_file(pyramid, [np.zeros((100,) + shape) for shape in shapes])
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(TINY_FILE.replace("[stream]\n", "[stream]\naugment = none\n")
+                            .replace("[encoder]\n", f"[encoder]\npyramid_file = {pyramid}\n"))
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {pyramid}: ") and level in err
+
 
     def test_seed_override_flag(self, tmp_path):
         cfg_path = tmp_path / "exp.cfg"

@@ -14,6 +14,7 @@ from streamcl.losses import (
     ce_loss,
     kl_pointwise_distill,
     potential_matrix,
+    score_matrix,
     structurewise_distill,
     structurewise_pairs,
     tf_pair_indices,
@@ -223,8 +224,10 @@ class TestPairRules:
 def _linear_setup(seed, n_tasks=3, n=4, dim=5, k=4):
     """Toy state: per-task features, a frozen linear teacher, a live student."""
     rng = np.random.default_rng(seed)
-    feats = {t: (rng.normal(size=(n, dim)), rng.normal(size=(n, dim)))
+    drawn = {t: (rng.normal(size=(n, dim)), rng.normal(size=(n, dim)))
              for t in range(1, n_tasks + 1)}
+    anchors = {t: a for t, (a, _) in drawn.items()}
+    tuples = {t: z for t, (_, z) in drawn.items()}
     w0 = rng.normal(size=(dim, k))
     student_w = Parameter(w0.copy(), "w")
 
@@ -234,14 +237,14 @@ def _linear_setup(seed, n_tasks=3, n=4, dim=5, k=4):
     def student_embed(f):
         return T.matmul(Tensor(f), student_w)
 
-    return feats, w0, student_w, teacher_embed, student_embed
+    return anchors, tuples, student_w, teacher_embed, student_embed
 
 
 class TestStructurewise:
     def test_t2_csd_is_exactly_zero(self):
-        feats, _, w, teacher, student = _linear_setup(0)
-        tset = build_tuple_set(1, "csd", "cosine", structurewise_pairs("csd", 2),
-                               feats, teacher, tau_teacher=2.0)
+        anchors, tuples, w, teacher, student = _linear_setup(0)
+        tset = build_tuple_set("cosine", structurewise_pairs("csd", 2),
+                               anchors, tuples, teacher, tau_teacher=2.0)
         loss = structurewise_distill(tset, student, tau_student=2.0)
         assert loss.item() == 0.0
 
@@ -250,40 +253,92 @@ class TestStructurewise:
     def test_stationary_at_snapshot(self, variant, metric):
         # equal teacher/student temperature makes the potentials coincide at
         # the snapshot, where potential cross-entropy is stationary
-        feats, _, w, teacher, student = _linear_setup(1, n_tasks=5)
+        anchors, tuples, w, teacher, student = _linear_setup(1, n_tasks=5)
         pairs = structurewise_pairs(variant, 5)
-        tset = build_tuple_set(4, variant, metric, pairs, feats, teacher, tau_teacher=2.0)
+        tset = build_tuple_set(metric, pairs, anchors, tuples, teacher, tau_teacher=2.0)
         assert tset.pairs
         w.grad = None
         structurewise_distill(tset, student, tau_student=2.0).backward()
         assert np.max(np.abs(w.grad)) < 1e-8
 
     def test_stationarity_finite_difference_confirmation(self):
-        feats, _, w, teacher, student = _linear_setup(2, n_tasks=4)
-        tset = build_tuple_set(3, "csd", "cosine", structurewise_pairs("csd", 4),
-                               feats, teacher, tau_teacher=2.0)
+        anchors, tuples, w, teacher, student = _linear_setup(2, n_tasks=4)
+        tset = build_tuple_set("cosine", structurewise_pairs("csd", 4),
+                               anchors, tuples, teacher, tau_teacher=2.0)
         report = T.finite_difference_check(
             lambda: structurewise_distill(tset, student, tau_student=2.0),
             [w], step=1e-5, tol=1e-4)
         assert report.passed, report
 
     def test_nonzero_away_from_snapshot(self):
-        feats, _, w, teacher, student = _linear_setup(3, n_tasks=4)
-        tset = build_tuple_set(3, "csd", "cosine", structurewise_pairs("csd", 4),
-                               feats, teacher, tau_teacher=0.0001)
+        anchors, tuples, w, teacher, student = _linear_setup(3, n_tasks=4)
+        tset = build_tuple_set("cosine", structurewise_pairs("csd", 4),
+                               anchors, tuples, teacher, tau_teacher=0.0001)
         w.data += 0.5
         loss = structurewise_distill(tset, student, tau_student=2.0)
         assert loss.item() > 0
 
     def test_sum_grows_with_pairs(self):
-        feats, _, w, teacher, student = _linear_setup(4, n_tasks=5)
+        anchors, tuples, w, teacher, student = _linear_setup(4, n_tasks=5)
         w.data += 0.3
         losses = []
         for t in (3, 4, 5):
-            tset = build_tuple_set(t - 1, "csd", "cosine", structurewise_pairs("csd", t),
-                                   feats, teacher, tau_teacher=0.0001)
+            tset = build_tuple_set("cosine", structurewise_pairs("csd", t),
+                                   anchors, tuples, teacher, tau_teacher=0.0001)
             losses.append(structurewise_distill(tset, student, tau_student=2.0).item())
         assert losses[0] < losses[1] < losses[2]
+
+
+    @pytest.mark.parametrize("variant", DISTILL_VARIANTS)
+    @pytest.mark.parametrize("metric", POTENTIAL_METRICS)
+    def test_stacked_matches_per_pair_reference(self, variant, metric):
+        anchors, tuples, w, teacher, student = _linear_setup(5, n_tasks=5)
+        if variant == "tf":
+            pairs = [(j - 1, j) for j in tf_pair_indices(23, 5)]
+        else:
+            pairs = structurewise_pairs(variant, 5)
+            tuples = anchors  # the task-aware variants pass one map for both sides
+        tset = build_tuple_set(metric, pairs, anchors, tuples, teacher, tau_teacher=0.5)
+        w.data += 0.3
+
+        def reference():  # each pair's anchors and tuples embedded on their own
+            total = Tensor(0.0)
+            for a_task, z_task in pairs:
+                with T.no_grad():
+                    p = potential_matrix(Tensor(teacher(anchors[a_task])),
+                                         Tensor(teacher(tuples[z_task])), metric, 0.5)
+                scores = score_matrix(student(anchors[a_task]), student(tuples[z_task]), metric)
+                logq = T.log_softmax(scores, axis=1, temperature=2.0)
+                total = total + T.sum_(Tensor(p.data) * logq) * -1.0
+            return total
+
+        w.grad = None
+        ref = reference()
+        ref.backward()
+        ref_grad = w.grad
+        w.grad = None
+        loss = structurewise_distill(tset, student, tau_student=2.0)
+        loss.backward()
+        assert [(p.anchor_task, p.tuple_task) for p in tset.pairs] == pairs
+        assert abs(loss.item() - ref.item()) <= 1e-12
+        np.testing.assert_allclose(w.grad, ref_grad, rtol=1e-9, atol=1e-12)
+
+    def test_one_student_embed_per_call(self):
+        anchors, tuples, w, teacher, student = _linear_setup(6, n_tasks=5)
+        calls = []
+
+        def counting(f):
+            calls.append(len(f))
+            return student(f)
+
+        tset = build_tuple_set("cosine", structurewise_pairs("csd", 5),
+                               anchors, anchors, teacher, tau_teacher=2.0)
+        assert len(tset.pairs) == 3 and len(tset.features) == 4 * 4  # tasks 1-4, once each
+        structurewise_distill(tset, counting, tau_student=2.0)
+        assert calls == [16]
+        empty = build_tuple_set("cosine", [], anchors, anchors, teacher, tau_teacher=2.0)
+        assert structurewise_distill(empty, counting, tau_student=2.0).item() == 0.0
+        assert calls == [16]
 
 
 class TestTotalObjective:
@@ -311,9 +366,9 @@ class TestTotalObjective:
 
     def test_additivity(self):
         rng = np.random.default_rng(12)
-        feats, _, w, teacher, student = _linear_setup(12, n_tasks=4)
-        tset = build_tuple_set(3, "csd", "cosine", structurewise_pairs("csd", 4),
-                               feats, teacher, tau_teacher=0.0001)
+        anchors, tuples, w, teacher, student = _linear_setup(12, n_tasks=4)
+        tset = build_tuple_set("cosine", structurewise_pairs("csd", 4),
+                               anchors, tuples, teacher, tau_teacher=0.0001)
         cur = rng.normal(size=(4, 4))
         rep = rng.normal(size=(5, 4))
         yc = rng.integers(0, 4, size=4)
@@ -331,9 +386,9 @@ class TestTotalObjective:
 
     def test_composed_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(13)
-        feats, _, w, teacher, student = _linear_setup(13, n_tasks=4)
-        tset = build_tuple_set(3, "csd", "cosine", structurewise_pairs("csd", 4),
-                               feats, teacher, tau_teacher=0.0001)
+        anchors, tuples, w, teacher, student = _linear_setup(13, n_tasks=4)
+        tset = build_tuple_set("cosine", structurewise_pairs("csd", 4),
+                               anchors, tuples, teacher, tau_teacher=0.0001)
         cur_x = rng.normal(size=(4, 5))
         rep_x = rng.normal(size=(5, 5))
         yc = rng.integers(0, 4, size=4)

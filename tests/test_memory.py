@@ -5,14 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from streamcl.encoder import load_pyramid_file
-from streamcl.losses import build_tuple_set
 from streamcl.memory import (
     EmptyBuffer,
     ReservoirBuffer,
     RingBuffer,
     buffer_sample,
-    dump_buffer,
     select_cross_task_tuples,
     select_pseudo_task_tuples,
 )
@@ -182,27 +179,6 @@ class TestSnapshot:
         clf = _classifier()
         a, b = clf.clone(), clf.clone()
         assert a.state_bytes() == b.state_bytes()
-
-    def test_task_id_recorded(self):
-        assert build_tuple_set(3, "csd", "cosine", [], {}, None, 1.0).snapshot_task == 3
-
-
-class TestDump:
-    def test_dump_roundtrip(self, tmp_path):
-        buf = RingBuffer(10)
-        rng = np.random.default_rng(10)
-        for i in range(4):
-            buf.insert(rng.normal(size=(1, 2, 2)), i, 7, i)
-        path = tmp_path / "buf.bin"
-        sidecar = dump_buffer(buf, path)
-        levels = load_pyramid_file(path)
-        assert levels[0].shape == (4, 1, 2, 2)
-        lines = open(sidecar).read().splitlines()
-        assert lines == [f"{i} 7" for i in range(4)]
-
-    def test_dump_empty_raises(self, tmp_path):
-        with pytest.raises(EmptyBuffer):
-            dump_buffer(RingBuffer(5), tmp_path / "x.bin")
 
 
 def test_reservoir_insert_stores_sample():

@@ -100,7 +100,6 @@ class TestEndOfTask:
         trainer.train_task(state, 0)
         trainer.end_of_task(state, 1)
         assert state.teacher is not None
-        assert state.tuple_set.snapshot_task == 1
         assert state.tuple_set.pairs == []  # needs two stored tasks
 
     def test_after_task3_tuples_cover_all_tasks(self):
@@ -109,10 +108,14 @@ class TestEndOfTask:
         for t in range(3):
             trainer.train_task(state, t)
             trainer.end_of_task(state, t + 1)
-        ids = state.tuple_set.sample_ids
-        assert set(ids) == {1, 2, 3}
-        assert all(len(v) == 5 for v in ids.values())
-        pairs = [(p.anchor_task, p.tuple_task) for p in state.tuple_set.pairs]
+        tset = state.tuple_set
+        rows = {}
+        for p in tset.pairs:
+            rows[p.anchor_task] = len(tset.features[p.anchor_rows])
+            rows[p.tuple_task] = len(tset.features[p.tuple_rows])
+        assert set(rows) == {1, 2, 3}
+        assert all(n == 5 for n in rows.values())
+        pairs = [(p.anchor_task, p.tuple_task) for p in tset.pairs]
         assert pairs == [(1, 2), (2, 3)]
 
     def test_snapshot_diverges_from_live_after_update(self):
@@ -145,10 +148,11 @@ class TestEndOfTask:
             trainer.train_task(state, t)
             trainer.end_of_task(state, t + 1)
             clf = state.classifier
+            feats = state.tuple_set.features
             for pair in state.tuple_set.pairs:
                 with T.no_grad():
-                    live = potential_matrix(clf.embed(pair.anchor_features),
-                                            clf.embed(pair.tuple_features),
+                    live = potential_matrix(clf.embed(feats[pair.anchor_rows]),
+                                            clf.embed(feats[pair.tuple_rows]),
                                             metric, trainer.cfg.loss.tau_teacher)
                 assert np.array_equal(pair.teacher_potential, live.data)
                 checked += 1
@@ -159,18 +163,18 @@ class TestEndOfTask:
         real = trainer_module.build_tuple_set
         calls = []
 
-        def counting(snapshot_task, variant, metric, pairs, feats, teacher_embed, *args, **kw):
+        def counting(metric, pairs, anchors, tuples, teacher_embed, *args, **kw):
             count = [0]
 
             def embed(h):
                 count[0] += 1
                 return teacher_embed(h)
 
-            tset = real(snapshot_task, variant, metric, pairs, feats, embed, *args, **kw)
+            tset = real(metric, pairs, anchors, tuples, embed, *args, **kw)
             calls.append(count[0])
-            # anchors and tuples as two arrays, so each side is embedded on its own
-            apart = {t: (a, z.copy()) for t, (a, z) in feats.items()}
-            ref = real(snapshot_task, variant, metric, pairs, apart, teacher_embed, *args, **kw)
+            # anchors and tuples as two arrays, so each side is stacked on its own
+            apart = {t: z.copy() for t, z in tuples.items()}
+            ref = real(metric, pairs, anchors, apart, teacher_embed, *args, **kw)
             assert len(tset.pairs) == len(ref.pairs)
             for mine, theirs in zip(tset.pairs, ref.pairs):
                 assert np.array_equal(mine.teacher_potential, theirs.teacher_potential)
@@ -184,7 +188,7 @@ class TestEndOfTask:
         for t in range(4):
             trainer.train_task(state, t)
             trainer.end_of_task(state, t + 1)
-        assert calls == [0, 2, 3, 4]  # one embed per distinct task, not per pair side
+        assert calls == [0, 1, 1, 1]  # one embed of the stacked features per boundary with pairs
 
 
 class TestEvaluate:
@@ -347,14 +351,16 @@ class TestKnobs:
             trainer.end_of_task(state, t + 1)
         clf = state.classifier
         (pair,) = state.tuple_set.pairs
+        a_feats = state.tuple_set.features[pair.anchor_rows]
+        z_feats = state.tuple_set.features[pair.tuple_rows]
         with T.no_grad():
-            rows = clf.embed(pair.anchor_features)
-            assert rows.shape == (len(pair.anchor_features), clf.flat_dim)
+            rows = clf.embed(a_feats)
+            assert rows.shape == (len(a_feats), clf.flat_dim)
             with clf.eval_mode():
-                anchors = clf.penultimate(Tensor(pair.anchor_features))
-                tuples = clf.penultimate(Tensor(pair.tuple_features))
-                logit_pot = potential_matrix(clf.forward(Tensor(pair.anchor_features)),
-                                             clf.forward(Tensor(pair.tuple_features)),
+                anchors = clf.penultimate(Tensor(a_feats))
+                tuples = clf.penultimate(Tensor(z_feats))
+                logit_pot = potential_matrix(clf.forward(Tensor(a_feats)),
+                                             clf.forward(Tensor(z_feats)),
                                              "cosine", trainer.cfg.loss.tau_teacher)
             pot = potential_matrix(anchors, tuples, "cosine", trainer.cfg.loss.tau_teacher)
         assert np.array_equal(rows.data, anchors.data)
