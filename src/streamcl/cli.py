@@ -64,9 +64,15 @@ def _is_bundle_entry(path):
 def _staged_outdir(outdir, force):
     """Yield a stage inside ``outdir``; once the block succeeds its entries replace the old ones.
 
-    A failure inside the block leaves ``outdir`` as it was. ``--force`` only
-    replaces bundle entries, so an output directory holding others is refused.
+    A failure inside the block leaves ``outdir`` as it was: directories made
+    for it are removed again. ``--force`` only replaces bundle entries, so an
+    output directory holding others is refused.
     """
+    made = []
+    path = os.path.abspath(outdir)
+    while not os.path.exists(path):
+        made.append(path)
+        path = os.path.dirname(path)
     os.makedirs(outdir, exist_ok=True)
     old = [os.path.join(outdir, name) for name in sorted(os.listdir(outdir))]
     if old and not force:
@@ -74,15 +80,21 @@ def _staged_outdir(outdir, force):
     foreign = [path for path in old if not _is_bundle_entry(path)]
     if foreign:
         raise ConfigError(f"{foreign[0]} is not part of a result bundle; --force will not delete it")
-    with tempfile.TemporaryDirectory(prefix=".streamcl-", dir=outdir) as stage:
-        yield stage
-        for path in old:
-            if os.path.isdir(path) and not os.path.islink(path):
-                shutil.rmtree(path)
-            else:
-                os.remove(path)
-        for name in os.listdir(stage):
-            os.rename(os.path.join(stage, name), os.path.join(outdir, name))
+    try:
+        with tempfile.TemporaryDirectory(prefix=".streamcl-", dir=outdir) as stage:
+            yield stage
+            for path in old:
+                if os.path.isdir(path) and not os.path.islink(path):
+                    shutil.rmtree(path)
+                else:
+                    os.remove(path)
+            for name in os.listdir(stage):
+                os.rename(os.path.join(stage, name), os.path.join(outdir, name))
+    except BaseException:
+        for path in made:
+            with contextlib.suppress(OSError):
+                os.rmdir(path)
+        raise
 
 
 def _metrics_record(results):

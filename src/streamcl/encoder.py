@@ -253,8 +253,9 @@ class StoredPyramidEncoder(MultiScaleEncoder):
         self.sample_count = counts.pop()
 
     @classmethod
-    def from_file(cls, path, mixer, input_channels, stage_channels):
-        """Load ``path``; its channels must match ``stage_channels`` and its dims halve."""
+    def from_file(cls, path, mixer, input_channels, stage_channels, dims):
+        """Load ``path``; its channels must match ``stage_channels`` and level
+        ``i``'s spatial dims must be ``dims / 2**i``, as the stride-2 stages give."""
         levels = load_pyramid_file(path)
         if len(levels) > len(stage_channels):
             raise InvalidConfig(f"{path}: {len(levels)} levels but only "
@@ -263,9 +264,10 @@ class StoredPyramidEncoder(MultiScaleEncoder):
             if level.shape[1] != stage_channels[i]:
                 raise InvalidConfig(f"{path}: level {i + 1} has {level.shape[1]} channels, "
                                     f"stage_channels gives {stage_channels[i]}")
-            if i and tuple(2 * d for d in level.shape[2:]) != levels[i - 1].shape[2:]:
-                raise InvalidConfig(f"{path}: level {i + 1} is {level.shape[2:]}, not half "
-                                    f"of level {i}'s {levels[i - 1].shape[2:]}")
+            side = dims >> (i + 1)
+            if level.shape[2:] != (side, side):
+                raise InvalidConfig(f"{path}: level {i + 1} is {level.shape[2:]}, "
+                                    f"stream.dims = {dims} gives {(side, side)}")
         return cls(levels, mixer, input_channels, stage_channels)
 
     def extract(self, x, indices=None):

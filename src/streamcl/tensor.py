@@ -126,15 +126,6 @@ class Tensor:
         other = _coerce(other)
         return mul(self, power(other, -1.0))
 
-    def relu(self):
-        return relu(self)
-
-    def exp(self):
-        return exp(self)
-
-    def log(self):
-        return log(self)
-
     def sum(self, axes=None, keepdims=False):
         return sum_(self, axes, keepdims)
 

@@ -15,6 +15,7 @@ the loss index rules); accuracy-matrix rows stay 0-based.
 from __future__ import annotations
 
 import contextlib
+import copy
 import hashlib
 from dataclasses import dataclass, field
 
@@ -100,10 +101,6 @@ class Classifier:
 
     def __init__(self, input_shape, n_classes, norm_kind, groups, momentum,
                  epsilon, rng, feature_channels=16, arch="full", embedding="logits"):
-        self.config = dict(input_shape=tuple(input_shape), n_classes=n_classes,
-                           norm_kind=norm_kind, groups=groups, momentum=momentum,
-                           epsilon=epsilon, feature_channels=feature_channels,
-                           arch=arch, embedding=embedding)
         c, w, h = input_shape
         self.arch = arch
         self.embedding = embedding
@@ -168,9 +165,6 @@ class Classifier:
     def forward(self, h):
         return matmul(self.penultimate(h), self.head_w) + self.head_b
 
-    def __call__(self, h):
-        return self.forward(h)
-
     def embed(self, feats):
         """Embedding rows for the potential function, eval-mode forward.
 
@@ -192,19 +186,8 @@ class Classifier:
             out.update(n.buffers())
         return out
 
-    def load_state(self, state):
-        mine = self.state()
-        if set(mine) != set(state):
-            raise InvalidConfig("state dictionaries disagree on keys")
-        for k, arr in mine.items():
-            arr[...] = state[k]
-
     def clone(self):
-        twin = Classifier(rng=np.random.default_rng(0), **self.config)
-        twin.load_state({k: v.copy() for k, v in self.state().items()})
-        if not self.training:
-            twin.eval()
-        return twin
+        return copy.deepcopy(self)
 
     def state_bytes(self):
         s = self.state()
@@ -276,7 +259,7 @@ class Trainer:
         if cfg.encoder.pyramid_file:
             encoder = StoredPyramidEncoder.from_file(
                 cfg.encoder.pyramid_file, encoder.mixer, cfg.stream.channels,
-                cfg.encoder.stage_channels)
+                cfg.encoder.stage_channels, cfg.stream.dims)
             if encoder.sample_count < stream.total_samples:
                 raise InvalidConfig("pyramid file covers fewer samples than the stream")
         rng_init = np.random.default_rng(ss_init.spawn(1)[0])
@@ -374,27 +357,19 @@ class Trainer:
                     self._maybe_pseudo_boundary(state)
         return state
 
-    def _needs_snapshot(self):
-        cfg = self.cfg
-        return cfg.replay.enabled and (cfg.loss.lambda_dctn > 0
-                                       or cfg.loss.distill_variant != "none")
-
     def end_of_task(self, state, finished_task_id):
         """Snapshot and (for the task-aware variants) select fresh tuples."""
         cfg = self.cfg
-        if cfg.loss.distill_variant == "tf" or not self._needs_snapshot():
+        variant = cfg.loss.distill_variant
+        if variant == "tf" or not cfg.replay.enabled or (
+                variant == "none" and cfg.loss.lambda_dctn <= 0):
             return state
-        state.teacher = state.classifier.clone().eval()
-        state.tuple_set = None
-        if cfg.loss.distill_variant != "none":
-            selection = select_cross_task_tuples(state.buffer, cfg.loss.n_per_task,
-                                                 state.rngs["buffer"])
-            feats = {t: _features(state, batch.xs, batch.indices)
-                     for t, batch in selection.items()}
-            pairs = structurewise_pairs(cfg.loss.distill_variant, finished_task_id + 1)
-            state.tuple_set = build_tuple_set(cfg.loss.potential_metric, pairs, feats, feats,
-                                              state.teacher.embed, cfg.loss.tau_teacher)
-        return state
+        if variant == "none":
+            return self._snapshot(state)
+        selection = select_cross_task_tuples(state.buffer, cfg.loss.n_per_task,
+                                             state.rngs["buffer"])
+        pairs = structurewise_pairs(variant, finished_task_id + 1)
+        return self._snapshot(state, pairs, selection, selection)
 
     def _maybe_pseudo_boundary(self, state):
         """Task-free boundary (called only with replay and the tf variant)."""
@@ -404,15 +379,32 @@ class Trainer:
         if level <= state.pseudo_level:
             return
         state.pseudo_level = level
-        state.teacher = state.classifier.clone().eval()
         anchors, tuples = select_pseudo_task_tuples(
             state.buffer, state.class_order, cfg.loss.new_task_classes,
             cfg.loss.n_per_task, cfg.loss.samples_per_class, state.rngs["buffer"])
-        a_feats = {p: _features(state, b.xs, b.indices) for p, b in anchors.items()}
-        z_feats = {p: _features(state, b.xs, b.indices) for p, b in tuples.items()}
         pairs = [(j - 1, j) for j in tf_pair_indices(u, cfg.loss.new_task_classes)]
-        state.tuple_set = build_tuple_set(cfg.loss.potential_metric, pairs, a_feats, z_feats,
-                                          state.teacher.embed, cfg.loss.tau_teacher)
+        self._snapshot(state, pairs, anchors, tuples)
+
+    def _snapshot(self, state, pairs=None, anchors=None, tuples=None):
+        """Freeze a deep copy of the classifier as the teacher; given ``pairs``, cache
+        their tuple set, encoding once each task batch that a live pair names.
+
+        ``anchors`` and ``tuples`` map a task id to its selected buffer batch; a
+        pair is live when both of its batches hold rows. A batch on both sides
+        is one array, so it is stacked once.
+        """
+        state.teacher = state.classifier.clone().eval()
+        state.tuple_set = None
+        if pairs is None:
+            return state
+        live = [(a, z) for a, z in pairs if len(anchors.get(a, ())) and len(tuples.get(z, ()))]
+        batches = {id(b): b for a, z in live for b in (anchors[a], tuples[z])}
+        feats = {k: _features(state, b.xs, b.indices) for k, b in batches.items()}
+        state.tuple_set = build_tuple_set(
+            self.cfg.loss.potential_metric, live, {a: feats[id(anchors[a])] for a, _ in live},
+            {z: feats[id(tuples[z])] for _, z in live}, state.teacher.embed,
+            self.cfg.loss.tau_teacher)
+        return state
 
     # evaluation -----------------------------------------------------------
 

@@ -332,12 +332,13 @@ class TestCmdRun:
         err = capsys.readouterr().err
         assert err.startswith("error: training diverged at task 2, batch 6, update 24: clf.conv1 ")
         assert "train.lr" in err
-        assert os.listdir(out) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("shapes, level", [
         ([(2, 16, 16)], "level 1 has 2 channels"),
         ([(4, 16, 16), (4, 16, 16)], "level 2 is (16, 16)"),
         ([(4, 16, 16), (4, 8, 8), (8, 4, 4), (8, 2, 2), (8, 1, 1)], "5 levels"),
+        ([(4, 32, 32), (4, 16, 16), (8, 8, 8), (8, 4, 4)], "level 1 is (32, 32)"),
     ])
     def test_pyramid_disagreeing_with_config_exits_2(self, tmp_path, capsys, shapes, level):
         pyramid = tmp_path / "pyr.bin"
@@ -345,9 +346,16 @@ class TestCmdRun:
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(TINY_FILE.replace("[stream]\n", "[stream]\naugment = none\n")
                             .replace("[encoder]\n", f"[encoder]\npyramid_file = {pyramid}\n"))
-        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        out = tmp_path / "out" / "nested"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {pyramid}: ") and level in err
+        # the failed run leaves no directory it made, and an existing one untouched
+        assert not (tmp_path / "out").exists()
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        assert main(["run", "--config", str(cfg_path), "--out", str(empty)]) == 2
+        assert os.listdir(empty) == []
 
 
     def test_seed_override_flag(self, tmp_path):

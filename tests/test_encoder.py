@@ -216,7 +216,7 @@ class TestPyramidFile:
         pyr = enc.extract(Tensor(x))
         path = tmp_path / "pyr.bin"
         save_pyramid_file(path, [l.data for l in pyr.levels])
-        stored = StoredPyramidEncoder.from_file(path, enc.mixer, 1, enc.stage_channels)
+        stored = StoredPyramidEncoder.from_file(path, enc.mixer, 1, enc.stage_channels, 32)
 
         idx = np.array([4, 0, 2])
         live = aggregate(enc.extract(Tensor(x[idx])), "top_down", enc.mixer)
@@ -226,6 +226,6 @@ class TestPyramidFile:
     def test_stored_encoder_index_bounds(self, tmp_path):
         path = tmp_path / "pyr.bin"
         save_pyramid_file(path, [np.zeros((2, 1, 4, 4))])
-        stored = StoredPyramidEncoder.from_file(path, None, 1, (1,))
+        stored = StoredPyramidEncoder.from_file(path, None, 1, (1,), 8)
         with pytest.raises(InvalidConfig):
             stored.extract(None, [0, 5])

@@ -190,6 +190,44 @@ class TestEndOfTask:
             trainer.end_of_task(state, t + 1)
         assert calls == [0, 1, 1, 1]  # one embed of the stacked features per boundary with pairs
 
+    @pytest.mark.parametrize("loss, replay", [
+        ("distill_variant = csd", ""),
+        ("distill_variant = lsd", ""),
+        ("distill_variant = tf\nnew_task_classes = 2\nsamples_per_class = 2",
+         "policy = reservoir"),
+    ], ids=["csd", "lsd", "tf"])
+    def test_boundaries_encode_only_the_stacked_rows(self, monkeypatch, loss, replay):
+        # a boundary encodes exactly the rows its tuple set stacks: none for
+        # selected tasks that no live pair names
+        encoded = [0]
+        real_features = trainer_module._features
+
+        def counting(state, xs, indices):
+            encoded[0] += len(xs)
+            return real_features(state, xs, indices)
+
+        seen = []
+
+        def at_boundary(real):
+            def hook(self, state, *args):
+                encoded[0], before = 0, state.tuple_set
+                out = real(self, state, *args)
+                tset = state.tuple_set
+                if tset is not before or encoded[0]:
+                    stacked = 0 if tset is None or tset.features is None else len(tset.features)
+                    seen.append((encoded[0], stacked))
+                return out
+            return hook
+
+        monkeypatch.setattr(trainer_module, "_features", counting)
+        for name in ("end_of_task", "_maybe_pseudo_boundary"):
+            monkeypatch.setattr(Trainer, name, at_boundary(getattr(Trainer, name)))
+        cfg = tiny_cfg(replay=replay, loss=loss)
+        cfg.stream.tasks = 4
+        run_experiment(cfg, seed=1)
+        assert len(seen) >= 3 and any(stacked for _, stacked in seen)
+        assert all(enc == stacked for enc, stacked in seen), seen
+
 
 class TestEvaluate:
     def test_eval_never_mutates_state(self):
@@ -334,7 +372,7 @@ class TestKnobs:
         state = Trainer(cfg, seed=0).build_state()
         x = state.stream.tasks[0].train.xs[:3]
         feats = trainer_module._features(state, x, np.arange(3))
-        assert feats.shape[1] == 6 and state.classifier.config["input_shape"][0] == 6
+        assert feats.shape[1] == 6 and state.classifier.conv1.shape[1] == 6
         assert trainer_module._features(default, x, np.arange(3)).shape[1] == 4
         # the extra projection is drawn last: every other kernel is the default draw
         enc, ref = state.encoder, default.encoder
