@@ -17,7 +17,6 @@ from .losses import (
     build_tuple_set,
     potential_matrix,
     structurewise_distill,
-    structurewise_pairs,
 )
 from .memory import ReservoirBuffer
 from .norms import BatchNorm, GroupNorm, InstanceNorm, LayerNorm, SplitParallelNorm
@@ -93,9 +92,9 @@ def _potentials_group():
     # stationarity of the structure-wise loss at the snapshot, over two csd tasks
     w = Parameter(rng.normal(size=(6, 4)), "w")
     w0 = w.data.copy()
-    feats = {1: rng.normal(size=(4, 6)), 2: rng.normal(size=(4, 6))}
-    tset = build_tuple_set("cosine", structurewise_pairs("csd", 3), feats, feats,
-                           lambda f: f @ w0, 2.0)
+    feats = rng.normal(size=(8, 6))  # four rows of task 1, then four of task 2
+    pairs = [(1, 2, np.arange(4), np.arange(4, 8))]  # structurewise_pairs("csd", 3)
+    tset = build_tuple_set("cosine", feats, pairs, lambda f: Tensor(f @ w0), 2.0)
     structurewise_distill(tset, lambda f: T.matmul(Tensor(f), w), 2.0).backward()
     if np.abs(w.grad).max() >= 1e-8:
         return False, f"stationarity violated: grad {np.abs(w.grad).max():.2e}"

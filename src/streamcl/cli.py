@@ -144,16 +144,22 @@ def cmd_ablate(args):
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("--values must list at least one value")
+    subdirs = [v.replace("/", "_") for v in values]
+    for subdir in subdirs:
+        if subdir in (".", "..", "ablation.csv") or subdirs.count(subdir) > 1:
+            same = ", ".join(repr(v) for v, d in zip(values, subdirs) if d == subdir)
+            raise ConfigError(f"--values {same}: each value needs a sub-directory of its own, "
+                              f"not {subdir!r}")
     seeds = _parse_seeds(args.seeds) if args.seeds else None
     base = _load_config(args.config)
     outdir = args.out or base.output.directory
     rows = []
     with _staged_outdir(outdir, args.force) as stage:
-        for value in values:
+        for value, subdir in zip(values, subdirs):
             start = time.time()
             cfg = _load_config(args.config, {args.axis: value})
             results = _run_seeds(cfg, seeds or cfg.train.seeds)
-            sub = os.path.join(stage, value.replace("/", "_"))
+            sub = os.path.join(stage, subdir)
             os.makedirs(sub, exist_ok=True)
             write_bundle(sub, cfg, results, time.time() - start)
             row = {"value": value}

@@ -89,8 +89,6 @@ def kl_pointwise_distill(teacher_logits, student_logits, tau):
         raise InvalidConfig("tau must be positive")
     if not isinstance(teacher_logits, Tensor):
         teacher_logits = Tensor(teacher_logits)
-    if not isinstance(student_logits, Tensor):
-        student_logits = Tensor(student_logits)
     if teacher_logits.shape != student_logits.shape:
         raise ShapeMismatch(f"teacher {teacher_logits.shape} vs student {student_logits.shape}")
     with no_grad():
@@ -162,60 +160,42 @@ class DistillPair:
 
     anchor_task: int
     tuple_task: int
-    anchor_rows: slice
-    tuple_rows: slice
+    anchor_rows: np.ndarray
+    tuple_rows: np.ndarray
     teacher_potential: np.ndarray
 
 
 @dataclass
 class DistillTupleSet:
-    """End-of-task selection: every cached feature block stacked once, and
-    the pairs that index into it."""
+    """Boundary selection: every cached sample's features stacked once, and
+    the pairs that index into them."""
 
     metric: str
     features: np.ndarray | None
     pairs: list = field(default_factory=list)
 
 
-def build_tuple_set(metric, pair_indices, anchors, tuples, teacher_embed, tau_teacher):
-    """Stack the cached features and precompute the teacher potentials.
+def build_tuple_set(metric, features, pairs, teacher_embed, tau_teacher):
+    """Precompute each pair's teacher potential over the stacked features.
 
-    ``anchors`` and ``tuples`` map a task id to its feature rows; a pair
-    whose anchor or tuple side is missing or empty is skipped. An array
-    that serves as both a task's anchors and its tuples is stacked once.
-    ``teacher_embed`` maps the stack to embedding rows (a tensor or an
-    array) under the frozen snapshot, in one call. Teacher potentials go
-    through the same :func:`potential_matrix` as the student's, without a
-    graph.
+    ``pairs`` lists ``(anchor_task, tuple_task, anchor_rows, tuple_rows)``
+    with integer row arrays into ``features``. ``teacher_embed`` maps the
+    stack to embedding rows (a tensor) under the frozen snapshot, in one
+    call. Teacher potentials go through the same :func:`potential_matrix`
+    as the student's, without a graph.
     """
-    rows, blocks, live = {}, [], []
-
-    def place(task, side, block):
-        key = (task, "both" if anchors.get(task) is tuples.get(task) else side)
-        if key not in rows:
-            start = sum(len(b) for b in blocks)
-            rows[key] = slice(start, start + len(block))
-            blocks.append(block)
-        return rows[key]
-
-    for anchor_task, tuple_task in pair_indices:
-        a, z = anchors.get(anchor_task, ()), tuples.get(tuple_task, ())
-        if len(a) and len(z):
-            live.append((anchor_task, tuple_task, place(anchor_task, "anchor", a),
-                         place(tuple_task, "tuple", z)))
-    if not live:
-        return DistillTupleSet(metric, None)
-    tset = DistillTupleSet(metric, np.concatenate(blocks))
+    tset = DistillTupleSet(metric, features)
+    if not pairs:
+        return tset
     with no_grad():
-        emb = teacher_embed(tset.features)
-        emb = emb if isinstance(emb, Tensor) else Tensor(emb)
-        for anchor_task, tuple_task, a_rows, z_rows in live:
+        emb = teacher_embed(features)
+        for anchor_task, tuple_task, a_rows, z_rows in pairs:
             teacher = potential_matrix(take(emb, a_rows), take(emb, z_rows), metric, tau_teacher)
             tset.pairs.append(DistillPair(anchor_task, tuple_task, a_rows, z_rows, teacher.data))
     return tset
 
 
-def structurewise_distill(tuple_set, student_embed, tau_student, metric=None):
+def structurewise_distill(tuple_set, student_embed, tau_student):
     """Sum of potential cross-entropies over every cached pair.
 
     ``student_embed`` maps the stacked features to live embedding rows (a
@@ -225,7 +205,7 @@ def structurewise_distill(tuple_set, student_embed, tau_student, metric=None):
     if tuple_set is None or not tuple_set.pairs:
         log.debug("structure-wise distillation skipped: no stored task pairs")
         return Tensor(0.0)
-    metric = metric or tuple_set.metric
+    metric = tuple_set.metric
     emb = student_embed(tuple_set.features)
     total = None
     for pair in tuple_set.pairs:

@@ -187,7 +187,8 @@ class Classifier:
         return out
 
     def clone(self):
-        return copy.deepcopy(self)
+        """A deep copy without the gradient arrays, which a frozen copy never reads."""
+        return copy.deepcopy(self, {id(p.grad): None for p in self.params() if p.grad is not None})
 
     def state_bytes(self):
         s = self.state()
@@ -387,23 +388,35 @@ class Trainer:
 
     def _snapshot(self, state, pairs=None, anchors=None, tuples=None):
         """Freeze a deep copy of the classifier as the teacher; given ``pairs``, cache
-        their tuple set, encoding once each task batch that a live pair names.
+        their tuple set, in which each buffer sample that a live pair names is
+        encoded and stacked once.
 
         ``anchors`` and ``tuples`` map a task id to its selected buffer batch; a
-        pair is live when both of its batches hold rows. A batch on both sides
-        is one array, so it is stacked once.
+        pair is live when both of its batches hold rows. Going through the live
+        pairs in order, anchor batch before tuple batch, each batch encodes the
+        sample indices not yet stacked in one call and becomes an integer row
+        array into the stack.
         """
         state.teacher = state.classifier.clone().eval()
         state.tuple_set = None
         if pairs is None:
             return state
         live = [(a, z) for a, z in pairs if len(anchors.get(a, ())) and len(tuples.get(z, ()))]
-        batches = {id(b): b for a, z in live for b in (anchors[a], tuples[z])}
-        feats = {k: _features(state, b.xs, b.indices) for k, b in batches.items()}
+        batches = [b for a, z in live for b in (anchors[a], tuples[z])]
+        # one encoder call per batch, not per boundary: a 5-row encoder batch can
+        # differ from the same rows in a longer batch by about 1e-15
+        stack, blocks = {}, []  # sample index -> its row of the stack
+        for b in batches:
+            fresh = [k for k, i in enumerate(b.indices.tolist()) if i not in stack]
+            for k in fresh:
+                stack[int(b.indices[k])] = len(stack)
+            if fresh:
+                blocks.append(_features(state, b.xs[fresh], b.indices[fresh]))
+        rows = [np.array([stack[i] for i in b.indices.tolist()]) for b in batches]
         state.tuple_set = build_tuple_set(
-            self.cfg.loss.potential_metric, live, {a: feats[id(anchors[a])] for a, _ in live},
-            {z: feats[id(tuples[z])] for _, z in live}, state.teacher.embed,
-            self.cfg.loss.tau_teacher)
+            self.cfg.loss.potential_metric, np.concatenate(blocks) if blocks else None,
+            [(a, z, ra, rz) for (a, z), ra, rz in zip(live, rows[::2], rows[1::2])],
+            state.teacher.embed, self.cfg.loss.tau_teacher)
         return state
 
     # evaluation -----------------------------------------------------------

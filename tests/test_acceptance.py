@@ -181,8 +181,9 @@ class TestCriterion3Stationarity:
             for metric in ("cosine", "l2", "arccos"):
                 drawn = {t: (rng.normal(size=(4, 6)), rng.normal(size=(4, 6)))
                          for t in range(1, 6)}
-                anchors = {t: a for t, (a, _) in drawn.items()}
-                tuples = {t: z for t, (_, z) in drawn.items()}
+                # anchors of tasks 1-5 in blocks 0-4, their tuples in blocks 5-9
+                features = np.concatenate([a for a, _ in drawn.values()]
+                                          + [z for _, z in drawn.values()])
                 w = Parameter(rng.normal(size=(6, 4)), "w")
                 w0 = w.data.copy()
                 if variant == "tf":
@@ -190,8 +191,10 @@ class TestCriterion3Stationarity:
                 else:
                     pairs = structurewise_pairs(variant, 5)
                 assert pairs, (variant, "needs live pairs")
-                tset = build_tuple_set(metric, pairs, anchors, tuples,
-                                       lambda f: f @ w0, tau_teacher=2.0)
+                rows = [(a, z, np.arange(4 * a - 4, 4 * a), np.arange(4 * z + 16, 4 * z + 20))
+                        for a, z in pairs]
+                tset = build_tuple_set(metric, features, rows,
+                                       lambda f: Tensor(f @ w0), tau_teacher=2.0)
                 w.grad = None
                 loss = structurewise_distill(
                     tset, lambda f: T.matmul(Tensor(f), w), tau_student=2.0)
@@ -232,7 +235,7 @@ class TestCriterion4Potentials:
         # t = 2: the consecutive-variant sum is empty, hence exactly zero
         assert structurewise_pairs("csd", 2) == []
         w0 = rng.normal(size=(8, 3))
-        tset = build_tuple_set("cosine", [], {}, {}, lambda f: f @ w0, 2.0)
+        tset = build_tuple_set("cosine", None, [], lambda f: Tensor(f @ w0), 2.0)
         assert structurewise_distill(tset, lambda f: Tensor(f @ w0), 2.0).item() == 0.0
 
         # task-free loop bounds: 20 enumerated (u, S) cases of floor division

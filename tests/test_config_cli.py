@@ -406,6 +406,21 @@ class TestCmdAblate:
         assert main(args + ["--values", "ln", "--force"]) == 0
         assert sorted(os.listdir(out)) == ["ablation.csv", "ln"]
 
+    @pytest.mark.parametrize("values, named", [
+        ("..,x", "'..': "),
+        (".", "'.': "),
+        ("a/b,a_b", "'a/b', 'a_b': "),
+        ("x,ablation.csv", "'ablation.csv': "),
+    ], ids=["dotdot", "dot", "clash", "table"])
+    def test_values_need_one_subdirectory_each(self, tmp_path, capsys, values, named):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(TINY_FILE.replace("seeds = 0,1", "seeds = 0"))
+        out = tmp_path / "stage" / "ab"
+        assert main(["ablate", "--config", str(cfg_path), "--axis", "stream.data_dir",
+                     "--values", values, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: --values {named}")
+        assert sorted(os.listdir(tmp_path)) == ["exp.cfg"]  # no output directory made
+
     def test_unknown_axis_rejected(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(TINY_FILE)

@@ -232,7 +232,7 @@ def _linear_setup(seed, n_tasks=3, n=4, dim=5, k=4):
     student_w = Parameter(w0.copy(), "w")
 
     def teacher_embed(f):
-        return f @ w0
+        return Tensor(f @ w0)
 
     def student_embed(f):
         return T.matmul(Tensor(f), student_w)
@@ -240,11 +240,24 @@ def _linear_setup(seed, n_tasks=3, n=4, dim=5, k=4):
     return anchors, tuples, student_w, teacher_embed, student_embed
 
 
+def stack(pairs, anchors, tuples):
+    """``build_tuple_set``'s features and row pairs: each block stacked once, at first use."""
+    blocks, rows, out = [], {}, []
+    for a, z in pairs:
+        for block in (anchors[a], tuples[z]):
+            if id(block) not in rows:
+                start = sum(map(len, blocks))
+                rows[id(block)] = np.arange(start, start + len(block))
+                blocks.append(block)
+        out.append((a, z, rows[id(anchors[a])], rows[id(tuples[z])]))
+    return (np.concatenate(blocks) if blocks else None), out
+
+
 class TestStructurewise:
     def test_t2_csd_is_exactly_zero(self):
         anchors, tuples, w, teacher, student = _linear_setup(0)
-        tset = build_tuple_set("cosine", structurewise_pairs("csd", 2),
-                               anchors, tuples, teacher, tau_teacher=2.0)
+        tset = build_tuple_set("cosine", *stack(structurewise_pairs("csd", 2), anchors, tuples),
+                               teacher, tau_teacher=2.0)
         loss = structurewise_distill(tset, student, tau_student=2.0)
         assert loss.item() == 0.0
 
@@ -255,7 +268,7 @@ class TestStructurewise:
         # the snapshot, where potential cross-entropy is stationary
         anchors, tuples, w, teacher, student = _linear_setup(1, n_tasks=5)
         pairs = structurewise_pairs(variant, 5)
-        tset = build_tuple_set(metric, pairs, anchors, tuples, teacher, tau_teacher=2.0)
+        tset = build_tuple_set(metric, *stack(pairs, anchors, tuples), teacher, tau_teacher=2.0)
         assert tset.pairs
         w.grad = None
         structurewise_distill(tset, student, tau_student=2.0).backward()
@@ -263,8 +276,8 @@ class TestStructurewise:
 
     def test_stationarity_finite_difference_confirmation(self):
         anchors, tuples, w, teacher, student = _linear_setup(2, n_tasks=4)
-        tset = build_tuple_set("cosine", structurewise_pairs("csd", 4),
-                               anchors, tuples, teacher, tau_teacher=2.0)
+        tset = build_tuple_set("cosine", *stack(structurewise_pairs("csd", 4), anchors, tuples),
+                               teacher, tau_teacher=2.0)
         report = T.finite_difference_check(
             lambda: structurewise_distill(tset, student, tau_student=2.0),
             [w], step=1e-5, tol=1e-4)
@@ -272,8 +285,8 @@ class TestStructurewise:
 
     def test_nonzero_away_from_snapshot(self):
         anchors, tuples, w, teacher, student = _linear_setup(3, n_tasks=4)
-        tset = build_tuple_set("cosine", structurewise_pairs("csd", 4),
-                               anchors, tuples, teacher, tau_teacher=0.0001)
+        tset = build_tuple_set("cosine", *stack(structurewise_pairs("csd", 4), anchors, tuples),
+                               teacher, tau_teacher=0.0001)
         w.data += 0.5
         loss = structurewise_distill(tset, student, tau_student=2.0)
         assert loss.item() > 0
@@ -283,8 +296,8 @@ class TestStructurewise:
         w.data += 0.3
         losses = []
         for t in (3, 4, 5):
-            tset = build_tuple_set("cosine", structurewise_pairs("csd", t),
-                                   anchors, tuples, teacher, tau_teacher=0.0001)
+            tset = build_tuple_set("cosine", *stack(structurewise_pairs("csd", t), anchors, tuples),
+                                   teacher, tau_teacher=0.0001)
             losses.append(structurewise_distill(tset, student, tau_student=2.0).item())
         assert losses[0] < losses[1] < losses[2]
 
@@ -298,15 +311,15 @@ class TestStructurewise:
         else:
             pairs = structurewise_pairs(variant, 5)
             tuples = anchors  # the task-aware variants pass one map for both sides
-        tset = build_tuple_set(metric, pairs, anchors, tuples, teacher, tau_teacher=0.5)
+        tset = build_tuple_set(metric, *stack(pairs, anchors, tuples), teacher, tau_teacher=0.5)
         w.data += 0.3
 
         def reference():  # each pair's anchors and tuples embedded on their own
             total = Tensor(0.0)
             for a_task, z_task in pairs:
                 with T.no_grad():
-                    p = potential_matrix(Tensor(teacher(anchors[a_task])),
-                                         Tensor(teacher(tuples[z_task])), metric, 0.5)
+                    p = potential_matrix(teacher(anchors[a_task]), teacher(tuples[z_task]),
+                                         metric, 0.5)
                 scores = score_matrix(student(anchors[a_task]), student(tuples[z_task]), metric)
                 logq = T.log_softmax(scores, axis=1, temperature=2.0)
                 total = total + T.sum_(Tensor(p.data) * logq) * -1.0
@@ -331,14 +344,14 @@ class TestStructurewise:
             calls.append(len(f))
             return student(f)
 
-        tset = build_tuple_set("cosine", structurewise_pairs("csd", 5),
-                               anchors, anchors, teacher, tau_teacher=2.0)
-        assert len(tset.pairs) == 3 and len(tset.features) == 4 * 4  # tasks 1-4, once each
+        tset = build_tuple_set("cosine", *stack(structurewise_pairs("csd", 5), anchors, anchors),
+                               teacher, tau_teacher=2.0)
+        assert len(tset.pairs) == 3
         structurewise_distill(tset, counting, tau_student=2.0)
-        assert calls == [16]
-        empty = build_tuple_set("cosine", [], anchors, anchors, teacher, tau_teacher=2.0)
+        assert calls == [len(tset.features)]
+        empty = build_tuple_set("cosine", None, [], teacher, tau_teacher=2.0)
         assert structurewise_distill(empty, counting, tau_student=2.0).item() == 0.0
-        assert calls == [16]
+        assert calls == [len(tset.features)]
 
 
 class TestTotalObjective:
@@ -367,8 +380,8 @@ class TestTotalObjective:
     def test_additivity(self):
         rng = np.random.default_rng(12)
         anchors, tuples, w, teacher, student = _linear_setup(12, n_tasks=4)
-        tset = build_tuple_set("cosine", structurewise_pairs("csd", 4),
-                               anchors, tuples, teacher, tau_teacher=0.0001)
+        tset = build_tuple_set("cosine", *stack(structurewise_pairs("csd", 4), anchors, tuples),
+                               teacher, tau_teacher=0.0001)
         cur = rng.normal(size=(4, 4))
         rep = rng.normal(size=(5, 4))
         yc = rng.integers(0, 4, size=4)
@@ -387,8 +400,8 @@ class TestTotalObjective:
     def test_composed_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(13)
         anchors, tuples, w, teacher, student = _linear_setup(13, n_tasks=4)
-        tset = build_tuple_set("cosine", structurewise_pairs("csd", 4),
-                               anchors, tuples, teacher, tau_teacher=0.0001)
+        tset = build_tuple_set("cosine", *stack(structurewise_pairs("csd", 4), anchors, tuples),
+                               teacher, tau_teacher=0.0001)
         cur_x = rng.normal(size=(4, 5))
         rep_x = rng.normal(size=(5, 5))
         yc = rng.integers(0, 4, size=4)

@@ -163,18 +163,30 @@ class TestEndOfTask:
         real = trainer_module.build_tuple_set
         calls = []
 
-        def counting(metric, pairs, anchors, tuples, teacher_embed, *args, **kw):
+        def counting(metric, features, pairs, teacher_embed, *args, **kw):
             count = [0]
 
             def embed(h):
                 count[0] += 1
                 return teacher_embed(h)
 
-            tset = real(metric, pairs, anchors, tuples, embed, *args, **kw)
+            tset = real(metric, features, pairs, embed, *args, **kw)
             calls.append(count[0])
-            # anchors and tuples as two arrays, so each side is stacked on its own
-            apart = {t: z.copy() for t, z in tuples.items()}
-            ref = real(metric, pairs, anchors, apart, teacher_embed, *args, **kw)
+            # each task is stacked once: one row array per task, 5 rows each
+            task_rows = {}
+            for a, z, a_rows, z_rows in pairs:
+                for t, r in ((a, a_rows), (z, z_rows)):
+                    assert np.array_equal(task_rows.setdefault(t, r), r)
+            assert (features is None) == (not pairs)
+            assert not pairs or len(features) == 5 * len(task_rows)
+            # every pair's anchors and tuples stacked apart as a reference
+            blocks = [features[r] for _, _, a_rows, z_rows in pairs for r in (a_rows, z_rows)]
+            starts = np.cumsum([0] + [len(b) for b in blocks])
+            apart = [(a, z, np.arange(starts[2 * i], starts[2 * i + 1]),
+                      np.arange(starts[2 * i + 1], starts[2 * i + 2]))
+                     for i, (a, z, _, _) in enumerate(pairs)]
+            ref = real(metric, np.concatenate(blocks) if blocks else None, apart,
+                       teacher_embed, *args, **kw)
             assert len(tset.pairs) == len(ref.pairs)
             for mine, theirs in zip(tset.pairs, ref.pairs):
                 assert np.array_equal(mine.teacher_potential, theirs.teacher_potential)
@@ -190,6 +202,16 @@ class TestEndOfTask:
             trainer.end_of_task(state, t + 1)
         assert calls == [0, 1, 1, 1]  # one embed of the stacked features per boundary with pairs
 
+    def test_teacher_carries_no_gradients(self):
+        trainer = Trainer(tiny_cfg(), seed=1)
+        state = trainer.build_state()
+        trainer.train_task(state, 0)
+        grads = [p.grad for p in state.classifier.params()]
+        assert all(g is not None for g in grads)
+        trainer.end_of_task(state, 1)
+        assert all(p.grad is None for p in state.teacher.params())
+        assert all(p.grad is g for p, g in zip(state.classifier.params(), grads))
+
     @pytest.mark.parametrize("loss, replay", [
         ("distill_variant = csd", ""),
         ("distill_variant = lsd", ""),
@@ -198,35 +220,54 @@ class TestEndOfTask:
     ], ids=["csd", "lsd", "tf"])
     def test_boundaries_encode_only_the_stacked_rows(self, monkeypatch, loss, replay):
         # a boundary encodes exactly the rows its tuple set stacks: none for
-        # selected tasks that no live pair names
-        encoded = [0]
+        # selected tasks that no live pair names, and each sample index once
+        encoded, distinct = [0], [0]
         real_features = trainer_module._features
+        real_snapshot = Trainer._snapshot
 
         def counting(state, xs, indices):
             encoded[0] += len(xs)
             return real_features(state, xs, indices)
 
+        def snapshot(self, state, pairs=None, anchors=None, tuples=None):
+            out = real_snapshot(self, state, pairs, anchors, tuples)
+            live = [(a, z) for a, z in pairs or ()
+                    if len(anchors.get(a, ())) and len(tuples.get(z, ()))]
+            distinct[0] = len({int(i) for a, z in live
+                               for i in np.concatenate([anchors[a].indices, tuples[z].indices])})
+            # each pair's rows hold its own batches' samples, in batch order
+            tset = state.tuple_set
+            assert [(p.anchor_task, p.tuple_task) for p in tset.pairs] == live
+            for p in tset.pairs:
+                for b, rows in ((anchors[p.anchor_task], p.anchor_rows),
+                                (tuples[p.tuple_task], p.tuple_rows)):
+                    np.testing.assert_allclose(tset.features[rows],
+                                               real_features(state, b.xs, b.indices),
+                                               rtol=0, atol=1e-12)
+            return out
+
         seen = []
 
         def at_boundary(real):
             def hook(self, state, *args):
-                encoded[0], before = 0, state.tuple_set
+                encoded[0], distinct[0], before = 0, 0, state.tuple_set
                 out = real(self, state, *args)
                 tset = state.tuple_set
                 if tset is not before or encoded[0]:
                     stacked = 0 if tset is None or tset.features is None else len(tset.features)
-                    seen.append((encoded[0], stacked))
+                    seen.append((encoded[0], stacked, distinct[0]))
                 return out
             return hook
 
         monkeypatch.setattr(trainer_module, "_features", counting)
+        monkeypatch.setattr(Trainer, "_snapshot", snapshot)
         for name in ("end_of_task", "_maybe_pseudo_boundary"):
             monkeypatch.setattr(Trainer, name, at_boundary(getattr(Trainer, name)))
         cfg = tiny_cfg(replay=replay, loss=loss)
         cfg.stream.tasks = 4
         run_experiment(cfg, seed=1)
-        assert len(seen) >= 3 and any(stacked for _, stacked in seen)
-        assert all(enc == stacked for enc, stacked in seen), seen
+        assert len(seen) >= 3 and any(stacked for _, stacked, _ in seen)
+        assert all(enc == stacked == n for enc, stacked, n in seen), seen
 
 
 class TestEvaluate:
