@@ -73,6 +73,8 @@ def _staged_outdir(outdir, force):
     while not os.path.exists(path):
         made.append(path)
         path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ConfigError(f"--out {outdir}: {path} is not a directory")
     os.makedirs(outdir, exist_ok=True)
     old = [os.path.join(outdir, name) for name in sorted(os.listdir(outdir))]
     if old and not force:
@@ -152,12 +154,12 @@ def cmd_ablate(args):
                               f"not {subdir!r}")
     seeds = _parse_seeds(args.seeds) if args.seeds else None
     base = _load_config(args.config)
+    cfgs = [_load_config(args.config, {args.axis: value}) for value in values]
     outdir = args.out or base.output.directory
     rows = []
     with _staged_outdir(outdir, args.force) as stage:
-        for value, subdir in zip(values, subdirs):
+        for value, subdir, cfg in zip(values, subdirs, cfgs):
             start = time.time()
-            cfg = _load_config(args.config, {args.axis: value})
             results = _run_seeds(cfg, seeds or cfg.train.seeds)
             sub = os.path.join(stage, subdir)
             os.makedirs(sub, exist_ok=True)
@@ -202,6 +204,8 @@ def _parse_seeds(raw):
         raise ConfigError("--seeds must list at least one seed")
     if min(seeds) < 0:
         raise ConfigError(f"--seeds must be non-negative, got {raw!r}")
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError(f"--seeds must be unique, got {raw!r}")
     return seeds
 
 

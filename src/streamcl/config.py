@@ -208,8 +208,12 @@ def parse_config_text(text, overrides=None):
 
 
 def parse_config(path, overrides=None):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), overrides)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc.strerror}") from exc
+    return parse_config_text(text, overrides)
 
 
 def serialize(cfg):

@@ -1,8 +1,8 @@
 """Fixed random multi-scale encoder and feature-pyramid aggregation.
 
 The encoder is a stand-in for a pretrained backbone: four stride-2
-convolution stages with frozen random kernels produce a pyramid of four
-feature maps at halving resolutions. Mixing uses frozen random
+convolution stages with frozen random kernels produce a pyramid, a plain
+list of four feature maps at halving resolutions. Mixing uses frozen random
 projections: a per-level 1x1 convolution (cross-channel mixing) and 3x3
 convolutions that match channel counts across scales (cross-scale mixing),
 merged by elementwise addition. Kernels are never trained, but the whole
@@ -34,38 +34,6 @@ _MAGIC = b"MFPY"
 _VERSION = 1
 
 
-class FeaturePyramid:
-    """Ordered feature maps at strictly halving spatial resolution."""
-
-    def __init__(self, levels):
-        levels = list(levels)
-        if not levels:
-            raise InvalidConfig("a pyramid needs at least one level")
-        for a, b in zip(levels, levels[1:]):
-            if b.shape[2] * 2 != a.shape[2] or b.shape[3] * 2 != a.shape[3]:
-                raise ShapeMismatch(
-                    f"levels must halve resolution, got {a.shape} then {b.shape}")
-            if b.shape[1] < a.shape[1]:
-                raise ShapeMismatch("channel counts must be non-decreasing with depth")
-        self.levels = levels
-
-    def __len__(self):
-        return len(self.levels)
-
-    def __getitem__(self, i):
-        return self.levels[i]
-
-
-class EncoderStage:
-    """One frozen stride-2 3x3 convolution followed by relu."""
-
-    def __init__(self, kernel):
-        self.kernel = Tensor(kernel)  # requires_grad stays False: frozen
-
-    def __call__(self, x):
-        return relu(conv2d(x, self.kernel, stride=2, padding=1))
-
-
 class MixerWeights:
     """Frozen random projections for cross-channel and cross-scale mixing."""
 
@@ -86,41 +54,36 @@ def _he_kernel(rng, cout, cin, k):
     return rng.normal(scale=np.sqrt(2.0 / (cin * k * k)), size=(cout, cin, k, k))
 
 
-def init_encoder(seed, input_channels, stage_channels, aggregate_channels=0):
-    """Draw all frozen kernels for one experiment seed.
-
-    Returns the four stages and the mixer. ``aggregate_channels`` adds one
-    extra 3x3 projection applied after top-down aggregation when it differs
-    from the first level's channel count (0 means "use channels(L1)").
-    """
-    stage_channels = tuple(int(c) for c in stage_channels)
-    if len(stage_channels) != 4:
-        raise InvalidConfig(f"expected 4 stage channel counts, got {len(stage_channels)}")
-    if any(b < a for a, b in zip(stage_channels, stage_channels[1:])):
-        raise InvalidConfig("stage channels must be non-decreasing")
-    rng = np.random.default_rng(seed)
-    cs = (input_channels,) + stage_channels
-    stages = [EncoderStage(_he_kernel(rng, cs[i + 1], cs[i], 3)) for i in range(4)]
-    ccm = [_he_kernel(rng, c, c, 1) for c in stage_channels]
-    td = [_he_kernel(rng, stage_channels[i], stage_channels[i + 1], 3) for i in range(3)]
-    bu = [_he_kernel(rng, stage_channels[i + 1], stage_channels[i], 3) for i in range(3)]
-    out_k = None
-    if aggregate_channels and aggregate_channels != stage_channels[0]:
-        out_k = _he_kernel(rng, aggregate_channels, stage_channels[0], 3)
-    return stages, MixerWeights(ccm, td, bu, out_k)
-
-
 class MultiScaleEncoder:
     def __init__(self, stages, mixer, input_channels, stage_channels):
-        self.stages = stages
+        self.stages = stages  # frozen kernel Tensors, one per level
         self.mixer = mixer
         self.input_channels = input_channels
         self.stage_channels = tuple(stage_channels)
 
     @classmethod
     def from_seed(cls, seed, input_channels, stage_channels, aggregate_channels=0):
-        stages, mixer = init_encoder(seed, input_channels, stage_channels, aggregate_channels)
-        return cls(stages, mixer, input_channels, stage_channels)
+        """Draw all frozen kernels for one experiment seed.
+
+        ``aggregate_channels`` adds one extra 3x3 projection applied after
+        top-down aggregation when it differs from the first level's channel
+        count (0 means "use channels(L1)").
+        """
+        stage_channels = tuple(int(c) for c in stage_channels)
+        if len(stage_channels) != 4:
+            raise InvalidConfig(f"expected 4 stage channel counts, got {len(stage_channels)}")
+        if any(b < a for a, b in zip(stage_channels, stage_channels[1:])):
+            raise InvalidConfig("stage channels must be non-decreasing")
+        rng = np.random.default_rng(seed)
+        cs = (input_channels,) + stage_channels
+        stages = [Tensor(_he_kernel(rng, cs[i + 1], cs[i], 3)) for i in range(4)]
+        ccm = [_he_kernel(rng, c, c, 1) for c in stage_channels]
+        td = [_he_kernel(rng, stage_channels[i], stage_channels[i + 1], 3) for i in range(3)]
+        bu = [_he_kernel(rng, stage_channels[i + 1], stage_channels[i], 3) for i in range(3)]
+        out_k = None
+        if aggregate_channels and aggregate_channels != stage_channels[0]:
+            out_k = _he_kernel(rng, aggregate_channels, stage_channels[0], 3)
+        return cls(stages, MixerWeights(ccm, td, bu, out_k), input_channels, stage_channels)
 
     def extract(self, x, indices=None):
         """Run the frozen stages; gradients flow through, never into, them."""
@@ -132,17 +95,14 @@ class MultiScaleEncoder:
         if x.shape[2] % 16 or x.shape[3] % 16:
             raise InvalidConfig(f"input dims must be divisible by 16, got {x.shape[2:]}")
         levels = []
-        cur = x
-        for stage in self.stages:
-            cur = stage(cur)
-            levels.append(cur)
-        return FeaturePyramid(levels)
+        for kernel in self.stages:
+            x = relu(conv2d(x, kernel, stride=2, padding=1))
+            levels.append(x)
+        return levels
 
     def kernel_bytes(self):
         """Byte string over every frozen kernel, for frozenness checks."""
-        parts = [s.kernel.data.tobytes() for s in self.stages]
-        parts += [k.data.tobytes() for k in self.mixer.all_kernels()]
-        return b"".join(parts)
+        return b"".join(k.data.tobytes() for k in self.stages + self.mixer.all_kernels())
 
     def features(self, x, mode, indices=None):
         return aggregate(self.extract(x, indices), mode, self.mixer)
@@ -150,10 +110,7 @@ class MultiScaleEncoder:
 
 def mix_ccm(pyramid, mixer):
     """Per-level frozen 1x1 mixing; shapes are unchanged."""
-    if len(mixer.ccm) < len(pyramid):
-        raise ShapeMismatch("mixer has fewer ccm kernels than pyramid levels")
-    return FeaturePyramid([conv2d(lvl, k, stride=1, padding=0)
-                           for lvl, k in zip(pyramid.levels, mixer.ccm)])
+    return [conv2d(lvl, k, stride=1, padding=0) for lvl, k in zip(pyramid, mixer.ccm)]
 
 
 def aggregate(pyramid, mode, mixer):
@@ -170,13 +127,9 @@ def aggregate(pyramid, mode, mixer):
         raise InvalidConfig(f"unknown aggregate mode {mode!r}")
     n = len(pyramid)
     if mode == "standard":  # only the deepest level is used, so only its ccm conv runs
-        if len(mixer.ccm) < n:
-            raise ShapeMismatch("mixer has fewer ccm kernels than pyramid levels")
         return conv2d(pyramid[n - 1], mixer.ccm[n - 1], stride=1, padding=0)
     mixed = mix_ccm(pyramid, mixer)
     if mode == "top_down":
-        if len(mixer.top_down) < n - 1:
-            raise InvalidConfig("mixer lacks top-down kernels for this pyramid depth")
         acc = mixed[n - 1]
         for k in range(n - 2, -1, -1):
             proj = conv2d(bilinear_up2x(acc), mixer.top_down[k], stride=1, padding=1)
@@ -184,8 +137,6 @@ def aggregate(pyramid, mode, mixer):
         if mixer.output is not None:
             acc = conv2d(acc, mixer.output, stride=1, padding=1)
         return acc
-    if len(mixer.bottom_up) < n - 1:
-        raise InvalidConfig("mixer lacks bottom-up kernels for this pyramid depth")
     acc = mixed[0]
     for k in range(1, n):
         proj = conv2d(maxpool2x2(acc), mixer.bottom_up[k - 1], stride=1, padding=1)
@@ -276,4 +227,4 @@ class StoredPyramidEncoder(MultiScaleEncoder):
         idx = np.asarray(indices, dtype=np.int64)
         if idx.size and (idx.min() < 0 or idx.max() >= self.sample_count):
             raise InvalidConfig("sample index outside the stored pyramid range")
-        return FeaturePyramid([Tensor(l[idx]) for l in self.levels])
+        return [Tensor(l[idx]) for l in self.levels]

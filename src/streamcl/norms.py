@@ -34,20 +34,6 @@ from .tensor import (
 NORM_KINDS = ("bn", "in", "ln", "gn", "sn", "cn", "spn")
 
 
-class AffineParams:
-    """Per-channel scale and shift, initialized to the identity transform."""
-
-    def __init__(self, channels, prefix):
-        self.gamma = Parameter(np.ones((1, channels, 1, 1)), f"{prefix}.gamma")
-        self.beta = Parameter(np.zeros((1, channels, 1, 1)), f"{prefix}.beta")
-
-    def apply(self, xhat):
-        return self.gamma * xhat + self.beta
-
-    def params(self):
-        return [self.gamma, self.beta]
-
-
 class RunningStats:
     """Per-channel running mean/variance with momentum-weighted updates."""
 
@@ -78,23 +64,6 @@ class RunningStats:
 
     def buffers(self, prefix):
         return {f"{prefix}.running_mean": self.mean, f"{prefix}.running_var": self.var}
-
-
-class BlendWeights:
-    """Trainable logits whose softmax blends normalization statistics."""
-
-    def __init__(self, n, prefix):
-        self.logits_mean = Parameter(np.zeros(n), f"{prefix}.logits_mean")
-        self.logits_var = Parameter(np.zeros(n), f"{prefix}.logits_var")
-
-    def mean_weights(self):
-        return softmax(self.logits_mean, axis=0)
-
-    def var_weights(self):
-        return softmax(self.logits_var, axis=0)
-
-    def params(self):
-        return [self.logits_mean, self.logits_var]
 
 
 def _check_input(x, channels):
@@ -153,8 +122,9 @@ class MomentNorm(NormLayer):
     A source is ``"batch"`` (per-channel moments through
     ``RunningStats.batch_stats``: batch moments with a running update in
     train mode, running estimates in eval mode) or a tuple of axes that
-    ``moments`` reduces in both modes. Two or more sources are blended by
-    learned softmax weights, one set for the means and one for the variances.
+    ``moments`` reduces in both modes. Two or more sources are blended by the
+    learned softmax of ``logits_mean`` (means) and of ``logits_var`` (variances);
+    ``affine`` adds a per-channel ``gamma`` and ``beta``. Unused ones are ``None``.
     """
 
     sources = ()
@@ -162,28 +132,33 @@ class MomentNorm(NormLayer):
     def __init__(self, channels, epsilon, affine, prefix, momentum=0.1):
         super().__init__(channels, epsilon)
         self.prefix = prefix
-        self.affine = AffineParams(channels, prefix) if affine else None
+        self.gamma = self.beta = self.logits_mean = self.logits_var = None
+        if affine:
+            self.gamma = Parameter(np.ones((1, channels, 1, 1)), f"{prefix}.gamma")
+            self.beta = Parameter(np.zeros((1, channels, 1, 1)), f"{prefix}.beta")
         self.stats = RunningStats(channels, momentum, epsilon) if "batch" in self.sources else None
-        self.blend = BlendWeights(len(self.sources), prefix) if len(self.sources) > 1 else None
+        if len(self.sources) > 1:
+            self.logits_mean = Parameter(np.zeros(len(self.sources)), f"{prefix}.logits_mean")
+            self.logits_var = Parameter(np.zeros(len(self.sources)), f"{prefix}.logits_var")
 
     def __call__(self, x):
         _check_input(x, self.channels)
         xhat = self.standardized(x)
-        return self.affine.apply(xhat) if self.affine else xhat
+        return xhat if self.gamma is None else self.gamma * xhat + self.beta
 
     def standardized(self, x):
         stats = [self.stats.batch_stats(x, self.training) if s == "batch" else moments(x, s)
                  for s in self.sources]
         means, variances = zip(*stats)
         mean, var = means[0], variances[0]
-        if self.blend:
-            mean = _blend(self.blend.mean_weights(), means)
-            var = _blend(self.blend.var_weights(), variances)
+        if self.logits_mean is not None:
+            mean = _blend(softmax(self.logits_mean, axis=0), means)
+            var = _blend(softmax(self.logits_var, axis=0), variances)
         return standardize(x, mean, var, self.epsilon)
 
     def params(self):
-        return ((self.blend.params() if self.blend else [])
-                + (self.affine.params() if self.affine else []))
+        return [p for p in (self.logits_mean, self.logits_var, self.gamma, self.beta)
+                if p is not None]
 
     def buffers(self):
         return self.stats.buffers(self.prefix) if self.stats else {}

@@ -365,6 +365,32 @@ class TestCmdRun:
         main(["run", "--config", str(cfg_path), "--out", str(out), "--seeds", "7"])
         assert sorted(f for f in os.listdir(out) if f.startswith("matrix")) == ["matrix_7.csv"]
 
+    @pytest.mark.parametrize("command", [
+        ["run"], ["ablate", "--axis", "model.norm_kind", "--values", "bn"]], ids=["run", "ablate"])
+    def test_duplicate_seeds_rejected(self, tmp_path, capsys, command):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(TINY_FILE)
+        out = tmp_path / "out"
+        assert main(command + ["--config", str(cfg_path), "--out", str(out), "--seeds", "0,0"]) == 2
+        assert capsys.readouterr().err == "error: --seeds must be unique, got '0,0'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["run"], ["ablate", "--axis", "model.norm_kind", "--values", "bn"]], ids=["run", "ablate"])
+    def test_bad_paths_exit_2(self, tmp_path, capsys, command):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(TINY_FILE.replace("seeds = 0,1", "seeds = 0"))
+        missing = tmp_path / "missing.cfg"
+        assert main(command + ["--config", str(missing), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read config {missing}: ")
+        taken = tmp_path / "taken"
+        taken.write_text("keep")
+        for out in (taken, taken / "sub"):
+            assert main(command + ["--config", str(cfg_path), "--out", str(out)]) == 2
+            assert capsys.readouterr().err == f"error: --out {out}: {taken} is not a directory\n"
+        assert sorted(os.listdir(tmp_path)) == ["exp.cfg", "taken"]  # nothing created
+        assert taken.read_text() == "keep"
+
 
 class TestCmdAblate:
     def test_norm_kind_axis_table(self, tmp_path):
@@ -420,6 +446,18 @@ class TestCmdAblate:
                      "--values", values, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"error: --values {named}")
         assert sorted(os.listdir(tmp_path)) == ["exp.cfg"]  # no output directory made
+
+    def test_every_value_is_validated_before_the_first_run(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "_run_seeds", lambda cfg, seeds: calls.append(seeds) or [])
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(TINY_FILE.replace("seeds = 0,1", "seeds = 0"))
+        out = tmp_path / "ab"
+        assert main(["ablate", "--config", str(cfg_path), "--axis", "model.norm_kind",
+                     "--values", "bn,zz", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: model.norm_kind")
+        assert calls == []
+        assert not out.exists()
 
     def test_unknown_axis_rejected(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"

@@ -6,11 +6,11 @@ import pytest
 import streamcl.encoder as encoder_module
 import streamcl.tensor as T
 from streamcl.encoder import (
-    FeaturePyramid,
+    AGGREGATE_MODES,
+    MixerWeights,
     MultiScaleEncoder,
     StoredPyramidEncoder,
     aggregate,
-    init_encoder,
     load_pyramid_file,
     mix_ccm,
     save_pyramid_file,
@@ -38,12 +38,12 @@ class TestInit:
     def test_pyramid_dims_halve(self):
         enc = MultiScaleEncoder.from_seed(0, 1, CHANNELS)
         pyr = enc.extract(Tensor(np.zeros((2, 1, 32, 32))))
-        assert [l.shape[2] for l in pyr.levels] == [16, 8, 4, 2]
-        assert [l.shape[1] for l in pyr.levels] == list(CHANNELS)
+        assert [l.shape[2] for l in pyr] == [16, 8, 4, 2]
+        assert [l.shape[1] for l in pyr] == list(CHANNELS)
 
     def test_non_monotone_channels_rejected(self):
         with pytest.raises(InvalidConfig):
-            init_encoder(0, 1, (8, 4, 16, 32))
+            MultiScaleEncoder.from_seed(0, 1, (8, 4, 16, 32))
 
     def test_indivisible_dims_rejected(self):
         enc = small_encoder()
@@ -60,16 +60,18 @@ class TestExtract:
     def test_zero_image_zero_pyramid(self):
         enc = small_encoder()
         pyr = enc.extract(Tensor(np.zeros((1, 1, 32, 32))))
-        for lvl in pyr.levels:
+        for lvl in pyr:
             assert np.all(lvl.data == 0.0)
 
     def test_kernels_never_receive_gradients(self):
-        enc = small_encoder()
+        enc = MultiScaleEncoder.from_seed(0, 1, (2, 2, 4, 4), aggregate_channels=3)
         x = Parameter(np.random.default_rng(0).normal(size=(1, 1, 32, 32)), "img")
-        aggregate(enc.extract(x), "top_down", enc.mixer).sum().backward()
+        for mode in AGGREGATE_MODES:
+            aggregate(enc.extract(x), mode, enc.mixer).sum().backward()
         assert x.grad is not None
-        for stage in enc.stages:
-            assert stage.kernel.grad is None
+        assert enc.mixer.output is not None
+        for kernel in enc.stages + enc.mixer.all_kernels():
+            assert kernel.grad is None
 
     def test_single_pixel_perturbation_is_local(self):
         enc = small_encoder(seed=3)
@@ -93,14 +95,14 @@ class TestMixing:
             eye[np.arange(c), np.arange(c), 0, 0] = 1.0
             enc.mixer.ccm[i] = Tensor(eye)
         mixed = mix_ccm(pyr, enc.mixer)
-        for a, b in zip(pyr.levels, mixed.levels):
+        for a, b in zip(pyr, mixed):
             np.testing.assert_allclose(a.data, b.data, atol=1e-15)
 
     def test_ccm_shapes_preserved(self):
         enc = small_encoder()
         pyr = enc.extract(Tensor(np.random.default_rng(3).normal(size=(2, 1, 32, 32))))
         mixed = mix_ccm(pyr, enc.mixer)
-        for a, b in zip(pyr.levels, mixed.levels):
+        for a, b in zip(pyr, mixed):
             assert a.shape == b.shape
 
     def test_ccm_is_per_pixel_matmul(self):
@@ -155,14 +157,28 @@ class TestAggregate:
         l2 = rng.normal(size=(1, 4, 4, 4))
         ccm1, ccm2 = rng.normal(size=(2, 2, 1, 1)), rng.normal(size=(4, 4, 1, 1))
         td = rng.normal(size=(2, 4, 3, 3))
-        from streamcl.encoder import MixerWeights
         mixer = MixerWeights([ccm1, ccm2], [td], [])
-        pyr = FeaturePyramid([Tensor(l1), Tensor(l2)])
+        pyr = [Tensor(l1), Tensor(l2)]
         out = aggregate(pyr, "top_down", mixer)
 
         m1 = T.conv2d(Tensor(l1), Tensor(ccm1), 1, 0)
         m2 = T.conv2d(Tensor(l2), Tensor(ccm2), 1, 0)
         expected = m1 + T.conv2d(T.bilinear_up2x(m2), Tensor(td), 1, 1)
+        np.testing.assert_allclose(out.data, expected.data, atol=1e-12)
+
+    def test_bottom_up_two_level_hand_composition(self):
+        rng = np.random.default_rng(13)
+        l1 = rng.normal(size=(1, 2, 8, 8))
+        l2 = rng.normal(size=(1, 4, 4, 4))
+        ccm1, ccm2 = rng.normal(size=(2, 2, 1, 1)), rng.normal(size=(4, 4, 1, 1))
+        bu = rng.normal(size=(4, 2, 3, 3))
+        mixer = MixerWeights([ccm1, ccm2], [], [bu])
+        out = aggregate([Tensor(l1), Tensor(l2)], "bottom_up", mixer)
+
+        m1 = T.conv2d(Tensor(l1), Tensor(ccm1), 1, 0)
+        m2 = T.conv2d(Tensor(l2), Tensor(ccm2), 1, 0)
+        pooled = m1.data.reshape(1, 2, 4, 2, 4, 2).max(axis=(3, 5))
+        expected = m2 + T.conv2d(Tensor(pooled), Tensor(bu), 1, 1)
         np.testing.assert_allclose(out.data, expected.data, atol=1e-12)
 
     def test_aggregate_differentiable_wrt_image(self):
@@ -215,7 +231,7 @@ class TestPyramidFile:
         x = rng.normal(size=(6, 1, 32, 32))
         pyr = enc.extract(Tensor(x))
         path = tmp_path / "pyr.bin"
-        save_pyramid_file(path, [l.data for l in pyr.levels])
+        save_pyramid_file(path, [l.data for l in pyr])
         stored = StoredPyramidEncoder.from_file(path, enc.mixer, 1, enc.stage_channels, 32)
 
         idx = np.array([4, 0, 2])

@@ -41,7 +41,7 @@ class TestBatchNorm:
 
     def test_constant_channel_maps_to_beta(self):
         bn = BatchNorm(1, epsilon=EPS)
-        bn.affine.beta.data[:] = 2.0
+        bn.beta.data[:] = 2.0
         out = bn(Tensor(np.full((3, 1, 2, 2), 9.0)))
         assert np.max(np.abs(out.data - 2.0)) <= 1e-3
 
@@ -116,22 +116,22 @@ class TestBlendedSpatialNorm:
         rng = np.random.default_rng(5)
         x = Tensor(rng.normal(size=(2, 4, 3, 3)))
         layer = BlendedSpatialNorm(4, epsilon=EPS)
-        layer.blend.logits_mean.data[:] = [1000.0, 0.0]
-        layer.blend.logits_var.data[:] = [1000.0, 0.0]
+        layer.logits_mean.data[:] = [1000.0, 0.0]
+        layer.logits_var.data[:] = [1000.0, 0.0]
         np.testing.assert_allclose(layer(x).data, InstanceNorm(4, epsilon=EPS)(x).data, atol=1e-12)
 
     def test_zero_logits_give_half_half(self):
         layer = BlendedSpatialNorm(4)
-        np.testing.assert_array_equal(layer.blend.mean_weights().data, [0.5, 0.5])
-        np.testing.assert_array_equal(layer.blend.var_weights().data, [0.5, 0.5])
+        np.testing.assert_array_equal(T.softmax(layer.logits_mean, axis=0).data, [0.5, 0.5])
+        np.testing.assert_array_equal(T.softmax(layer.logits_var, axis=0).data, [0.5, 0.5])
 
     def test_single_channel_blend_irrelevant(self):
         rng = np.random.default_rng(6)
         x = Tensor(rng.normal(size=(3, 1, 4, 4)))
         a = BlendedSpatialNorm(1, epsilon=EPS)
         b = BlendedSpatialNorm(1, epsilon=EPS)
-        b.blend.logits_mean.data[:] = [2.0, -1.0]
-        b.blend.logits_var.data[:] = [-3.0, 0.5]
+        b.logits_mean.data[:] = [2.0, -1.0]
+        b.logits_var.data[:] = [-3.0, 0.5]
         np.testing.assert_allclose(a(x).data, b(x).data, atol=1e-12)
 
     def test_blend_logits_receive_finite_gradients(self):
@@ -139,7 +139,7 @@ class TestBlendedSpatialNorm:
         layer = BlendedSpatialNorm(4)
         x = Tensor(rng.normal(size=(2, 4, 3, 3)))
         layer(x).sum().backward()
-        for p in layer.blend.params():
+        for p in (layer.logits_mean, layer.logits_var):
             assert p.grad is not None and np.all(np.isfinite(p.grad))
 
 
@@ -148,24 +148,24 @@ class TestSwitchableNorm:
         rng = np.random.default_rng(8)
         x = Tensor(rng.normal(size=(4, 3, 2, 2)))
         sn = SwitchableNorm(3, epsilon=EPS)
-        sn.blend.logits_mean.data[:] = [1000.0, 0.0, 0.0]
-        sn.blend.logits_var.data[:] = [1000.0, 0.0, 0.0]
+        sn.logits_mean.data[:] = [1000.0, 0.0, 0.0]
+        sn.logits_var.data[:] = [1000.0, 0.0, 0.0]
         np.testing.assert_allclose(sn(x).data, BatchNorm(3, epsilon=EPS)(x).data, atol=1e-12)
 
     def test_zero_logits_equal_thirds(self):
         sn = SwitchableNorm(3)
-        np.testing.assert_allclose(sn.blend.mean_weights().data, [1 / 3] * 3, atol=1e-15)
+        np.testing.assert_allclose(T.softmax(sn.logits_mean, axis=0).data, [1 / 3] * 3, atol=1e-15)
 
     def test_matches_numpy_moment_oracle(self):
         rng = np.random.default_rng(9)
         x = rng.normal(size=(4, 3, 3, 3))
         sn = SwitchableNorm(3, epsilon=EPS)
-        sn.blend.logits_mean.data[:] = rng.normal(size=3)
-        sn.blend.logits_var.data[:] = rng.normal(size=3)
+        sn.logits_mean.data[:] = rng.normal(size=3)
+        sn.logits_var.data[:] = rng.normal(size=3)
         out = sn(Tensor(x))
 
-        w = np_softmax(sn.blend.logits_mean.data)
-        wv = np_softmax(sn.blend.logits_var.data)
+        w = np_softmax(sn.logits_mean.data)
+        wv = np_softmax(sn.logits_var.data)
         m_bn, v_bn = np_moments(x, (0, 2, 3))
         m_in, v_in = np_moments(x, (2, 3))
         m_ln, v_ln = np_moments(x, (1, 2, 3))
@@ -222,7 +222,7 @@ class TestContinualNorm:
 
     def test_constant_input_collapses_to_beta(self):
         cn = ContinualNorm(2, groups=1, epsilon=EPS)
-        cn.bn.affine.beta.data[:] = 1.5
+        cn.bn.beta.data[:] = 1.5
         out = cn(Tensor(np.full((2, 2, 2, 2), 4.0)))
         assert np.max(np.abs(out.data - 1.5)) <= 1e-3
 
@@ -266,7 +266,7 @@ class TestSplitParallelNorm:
         def grads(xv):
             spn = SplitParallelNorm(4, epsilon=EPS)
             (spn(Tensor(xv)) * Tensor(r)).sum().backward()
-            return (spn.bn.affine.gamma.grad.copy(), spn.inln.affine.gamma.grad.copy())
+            return (spn.bn.gamma.grad.copy(), spn.inln.gamma.grad.copy())
 
         g_bn, g_inln = grads(x)
         bumped = x.copy()
@@ -283,13 +283,13 @@ class TestSplitParallelNorm:
         spn = SplitParallelNorm(4, epsilon=EPS)
         gamma = rng.normal(size=2) + 1.0
         beta = rng.normal(size=2)
-        spn.bn.affine.gamma.data[0, :, 0, 0] = gamma
-        spn.bn.affine.beta.data[0, :, 0, 0] = beta
+        spn.bn.gamma.data[0, :, 0, 0] = gamma
+        spn.bn.beta.data[0, :, 0, 0] = beta
         base = spn(Tensor(x)).data
 
         spn2 = SplitParallelNorm(4, epsilon=EPS)
-        spn2.bn.affine.gamma.data[0, :, 0, 0] = gamma[perm]
-        spn2.bn.affine.beta.data[0, :, 0, 0] = beta[perm]
+        spn2.bn.gamma.data[0, :, 0, 0] = gamma[perm]
+        spn2.bn.beta.data[0, :, 0, 0] = beta[perm]
         xp = x.copy()
         xp[:, :2] = x[:, :2][:, perm]
         permuted = spn2(Tensor(xp)).data
@@ -375,7 +375,7 @@ def parent_norm(layer, x):
     elif kind == "inln":
         mean_in, var_in = T.moments(x, (2, 3))
         mean_ln, var_ln = T.moments(x, (1, 2, 3))
-        w, wv = layer.blend.mean_weights(), layer.blend.var_weights()
+        w, wv = T.softmax(layer.logits_mean, axis=0), T.softmax(layer.logits_var, axis=0)
         mean = e(w, 0) * mean_in + e(w, 1) * mean_ln
         var = e(wv, 0) * var_in + e(wv, 1) * var_ln
         xhat = std(x, mean, var)
@@ -384,11 +384,11 @@ def parent_norm(layer, x):
         mean_bn, var_bn = layer.stats.batch_stats(x, layer.training)
         mean_in, var_in = T.moments(x, (2, 3))
         mean_ln, var_ln = T.moments(x, (1, 2, 3))
-        w, wv = layer.blend.mean_weights(), layer.blend.var_weights()
+        w, wv = T.softmax(layer.logits_mean, axis=0), T.softmax(layer.logits_var, axis=0)
         mean = e(w, 0) * mean_bn + e(w, 1) * mean_in + e(w, 2) * mean_ln
         var = e(wv, 0) * var_bn + e(wv, 1) * var_in + e(wv, 2) * var_ln
         xhat = std(x, mean, var)
-    return layer.affine.apply(xhat) if layer.affine else xhat
+    return layer.gamma * xhat + layer.beta if layer.gamma is not None else xhat
 
 
 class TestParentParity:

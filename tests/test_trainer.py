@@ -417,8 +417,8 @@ class TestKnobs:
         assert trainer_module._features(default, x, np.arange(3)).shape[1] == 4
         # the extra projection is drawn last: every other kernel is the default draw
         enc, ref = state.encoder, default.encoder
-        kernels = [s.kernel for s in enc.stages] + enc.mixer.all_kernels()[:-1]
-        ref_kernels = [s.kernel for s in ref.stages] + ref.mixer.all_kernels()
+        kernels = enc.stages + enc.mixer.all_kernels()[:-1]
+        ref_kernels = ref.stages + ref.mixer.all_kernels()
         assert [k.data.tobytes() for k in kernels] == [k.data.tobytes() for k in ref_kernels]
         assert enc.mixer.output.shape == (6, 4, 3, 3) and ref.mixer.output is None
 
@@ -491,7 +491,7 @@ class TestModes:
         with T.no_grad():
             pyr = state.encoder.extract(Tensor(all_xs[order]))
         path = tmp_path / "stream.pyr"
-        save_pyramid_file(path, [l.data for l in pyr.levels])
+        save_pyramid_file(path, [l.data for l in pyr])
 
         cfg2 = tiny_cfg(loss="distill_variant = none\nlambda_dctn = 0")
         cfg2.stream.augment = "none"
