@@ -16,6 +16,7 @@ An empty file yields the default configuration.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 from .encoder import AGGREGATE_MODES
@@ -141,7 +142,10 @@ def _parse_value(path, raw, default):
         if isinstance(default, int):
             return int(raw)
         if isinstance(default, float):
-            return float(raw)
+            value = float(raw)
+            if not math.isfinite(value):
+                raise ValueError(f"must be a finite number, got {raw!r}")
+            return value
         if isinstance(default, tuple):
             if raw == "":
                 return ()
@@ -211,8 +215,9 @@ def parse_config(path, overrides=None):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc.strerror}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else f"not UTF-8 ({exc.reason})"
+        raise ConfigError(f"cannot read config {path}: {reason}") from exc
     return parse_config_text(text, overrides)
 
 

@@ -50,23 +50,6 @@ class ZeroVector(ValueError):
     """Angle-based potentials need nonzero embeddings."""
 
 
-@dataclass
-class LossWeights:
-    """Balancing factors and temperatures for the composed objective."""
-
-    lambda_dctn: float = 10.0
-    lambda_dcsd: float = 0.01
-    tau_dctn: float = 2.0
-    tau_teacher: float = 0.0001
-    tau_student: float = 2.0
-
-    def __post_init__(self):
-        if self.lambda_dctn < 0 or self.lambda_dcsd < 0:
-            raise InvalidConfig("loss weights must be nonnegative")
-        if min(self.tau_dctn, self.tau_teacher, self.tau_student) <= 0:
-            raise InvalidConfig("temperatures must be positive")
-
-
 def ce_loss(logits, labels):
     """Mean over the batch of -log softmax(logits)[label]."""
     labels = np.asarray(labels, dtype=np.int64)
@@ -217,17 +200,17 @@ def structurewise_distill(tuple_set, student_embed, tau_student):
 
 
 def total_objective(cur_logits, cur_labels, replay_logits=None, replay_labels=None,
-                    teacher_replay_logits=None, tuple_set=None, student_embed=None,
-                    weights=None, ce_fn=None, replay_ce_fn=None):
+                    teacher_replay_logits=None, tuple_set=None, student_embed=None, *,
+                    loss_cfg, ce_fn=None, replay_ce_fn=None):
     """Composed loss: current CE + replay CE + weighted distillation terms.
 
+    The config's ``[loss]`` section gives the weights and temperatures.
     Replay terms are skipped while the buffer is empty; distillation terms
     are skipped while no snapshot exists. ``ce_fn``/``replay_ce_fn`` let the
     caller substitute masked cross-entropies (multi-head evaluation being
     the one user); they default to :func:`ce_loss`. Returns the scalar loss
     and the value of each active part.
     """
-    weights = weights or LossWeights()
     ce_fn = ce_fn or ce_loss
     replay_ce_fn = replay_ce_fn or ce_fn
     loss = ce_fn(cur_logits, cur_labels)
@@ -236,12 +219,12 @@ def total_objective(cur_logits, cur_labels, replay_logits=None, replay_labels=No
         er = replay_ce_fn(replay_logits, replay_labels)
         parts["er"] = er.item()
         loss = loss + er
-        if teacher_replay_logits is not None and weights.lambda_dctn > 0:
-            kd = kl_pointwise_distill(teacher_replay_logits, replay_logits, weights.tau_dctn)
+        if teacher_replay_logits is not None and loss_cfg.lambda_dctn > 0:
+            kd = kl_pointwise_distill(teacher_replay_logits, replay_logits, loss_cfg.tau_dctn)
             parts["dctn"] = kd.item()
-            loss = loss + kd * weights.lambda_dctn
-    if tuple_set is not None and student_embed is not None and weights.lambda_dcsd > 0:
-        sw = structurewise_distill(tuple_set, student_embed, weights.tau_student)
+            loss = loss + kd * loss_cfg.lambda_dctn
+    if tuple_set is not None and student_embed is not None and loss_cfg.lambda_dcsd > 0:
+        sw = structurewise_distill(tuple_set, student_embed, loss_cfg.tau_student)
         parts["dcsd"] = sw.item()
-        loss = loss + sw * weights.lambda_dcsd
+        loss = loss + sw * loss_cfg.lambda_dcsd
     return loss, parts

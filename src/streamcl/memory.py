@@ -28,15 +28,38 @@ class Batch:
         return len(self.ys)
 
 
-class RingBuffer:
-    """Per-task slot arrays with FIFO overwrite at fixed capacity."""
+class ReplayBuffer:
+    """The queries both policies answer, all read from ``items()``: one
+    ``(x, y, task, index)`` tuple per stored sample. A policy supplies
+    ``insert`` and ``items``."""
 
-    policy = "ring"
+    def __init__(self, capacity):
+        if capacity < 1:
+            raise ValueError("capacity must be positive")
+        self.capacity = capacity
+
+    def __len__(self):
+        return len(self.items())
+
+    def stored_tasks(self):
+        return sorted({t for _, _, t, _ in self.items()})
+
+    def task_items(self, task_id):
+        return [it for it in self.items() if it[2] == task_id]
+
+    def label_items(self, label):
+        return [it for it in self.items() if it[1] == label]
+
+    def unique_labels(self):
+        return sorted({y for _, y, _, _ in self.items()})
+
+
+class RingBuffer(ReplayBuffer):
+    """Per-task slot arrays with FIFO overwrite at fixed capacity; ``items()``
+    walks the tasks in sorted order, each in slot order."""
 
     def __init__(self, capacity_per_task):
-        if capacity_per_task < 1:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity_per_task
+        super().__init__(capacity_per_task)
         self._slots = {}
         self._cursor = {}
 
@@ -50,26 +73,11 @@ class RingBuffer:
             slots[cur] = item
             self._cursor[task_id] = (cur + 1) % self.capacity
 
-    def __len__(self):
-        return sum(len(s) for s in self._slots.values())
-
-    def stored_tasks(self):
-        return sorted(self._slots)
-
     def items(self):
-        out = []
-        for t in self.stored_tasks():
-            out.extend(self._slots[t])
-        return out
-
-    def task_items(self, task_id):
-        return list(self._slots.get(task_id, []))
-
-    def unique_labels(self):
-        return sorted({y for _, y, _, _ in self.items()})
+        return [it for t in sorted(self._slots) for it in self._slots[t]]
 
 
-class ReservoirBuffer:
+class ReservoirBuffer(ReplayBuffer):
     """Capacity-bounded uniform sample of an unbounded stream.
 
     After n insertions each seen item resides in the buffer with
@@ -77,12 +85,8 @@ class ReservoirBuffer:
     replaces slot j when j < capacity.
     """
 
-    policy = "reservoir"
-
     def __init__(self, capacity):
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
+        super().__init__(capacity)
         self._slots = []
         self.seen = 0
 
@@ -98,23 +102,8 @@ class ReservoirBuffer:
         if j < self.capacity:
             self._slots[j] = item
 
-    def __len__(self):
-        return len(self._slots)
-
     def items(self):
         return list(self._slots)
-
-    def stored_tasks(self):
-        return sorted({t for _, _, t, _ in self._slots})
-
-    def task_items(self, task_id):
-        return [it for it in self._slots if it[2] == task_id]
-
-    def label_items(self, label):
-        return [it for it in self._slots if it[1] == label]
-
-    def unique_labels(self):
-        return sorted({y for _, y, _, _ in self._slots})
 
 
 def _to_batch(items, with_replacement=False):
@@ -136,15 +125,18 @@ def buffer_sample(buffer, batch_size, rng):
     return _to_batch([items[i] for i in chosen], with_replacement=replace)
 
 
+def _draw(items, n, rng):
+    chosen = rng.choice(len(items), size=min(n, len(items)), replace=False)
+    return [items[i] for i in chosen]
+
+
 def select_cross_task_tuples(buffer, n_per_task, rng):
     """Pick up to n samples per stored task (a task the reservoir has thinned
     below n gives all it stores); the caller caches the result so the
     selection stays fixed until the next task boundary."""
     selection = {}
     for t in buffer.stored_tasks():
-        items = buffer.task_items(t)
-        chosen = rng.choice(len(items), size=min(n_per_task, len(items)), replace=False)
-        selection[t] = _to_batch([items[i] for i in chosen])
+        selection[t] = _to_batch(_draw(buffer.task_items(t), n_per_task, rng))
     return selection
 
 
@@ -168,13 +160,9 @@ def select_pseudo_task_tuples(buffer, class_order, new_task_threshold,
             stored = buffer.label_items(c)
             pool.extend(stored)
             if stored:
-                take = min(n_per_class, len(stored))
-                chosen = rng.choice(len(stored), size=take, replace=False)
-                a_items.extend(stored[i] for i in chosen)
+                a_items.extend(_draw(stored, n_per_class, rng))
         if pool:
-            take = min(n_per_task, len(pool))
-            chosen = rng.choice(len(pool), size=take, replace=False)
-            tuples[p] = _to_batch([pool[i] for i in chosen])
+            tuples[p] = _to_batch(_draw(pool, n_per_task, rng))
         if a_items:
             anchors[p] = _to_batch(a_items)
     return anchors, tuples

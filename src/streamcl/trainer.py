@@ -25,7 +25,6 @@ from . import losses
 from .encoder import MultiScaleEncoder, StoredPyramidEncoder
 from .losses import (
     DistillTupleSet,
-    LossWeights,
     build_tuple_set,
     structurewise_pairs,
     tf_pair_indices,
@@ -290,11 +289,6 @@ class Trainer:
 
     # loss plumbing ------------------------------------------------------
 
-    def _weights(self):
-        c = self.cfg.loss
-        return LossWeights(c.lambda_dctn, c.lambda_dcsd, c.tau_dctn,
-                           c.tau_teacher, c.tau_student)
-
     def _class_sets(self, stream):
         return {t.task_id + 1: sorted(t.class_ids) for t in stream.tasks}
 
@@ -311,7 +305,6 @@ class Trainer:
         state.classifier.train()
         task_id = task_idx + 1
         task_free = cfg.loss.distill_variant == "tf"
-        weights = self._weights()
         aug = (tuple(cfg.stream.augment_ops), cfg.stream.augment)
         for b, batch in enumerate(state.stream.train_batches(task_idx, cfg.train.batch)):
             xs_stream = augment_batch(batch.xs, aug[0], aug[1], state.rngs["augment"],
@@ -327,7 +320,7 @@ class Trainer:
                                         is_replay=True, target_dims=cfg.stream.dims)
                     h_rep = _features(state, rxs, rbatch.indices)
                     teacher_logits = None
-                    if state.teacher is not None and weights.lambda_dctn > 0:
+                    if state.teacher is not None and cfg.loss.lambda_dctn > 0:
                         teacher_logits = state.teacher.logits_np(h_rep)
                     rep = (h_rep, rbatch, teacher_logits)
                 cur_tasks = np.full(len(batch.ys), task_id)
@@ -339,7 +332,7 @@ class Trainer:
                 loss, _parts = total_objective(
                     state.classifier.forward(Tensor(h_cur)), batch.ys,
                     rep_logits, rep_ys, teacher_logits, state.tuple_set,
-                    state.classifier.embed, weights,
+                    state.classifier.embed, loss_cfg=cfg.loss,
                     ce_fn=lambda lo, ys: self._ce(state, lo, ys, cur_tasks),
                     replay_ce_fn=lambda lo, ys: self._ce(state, lo, ys, rep_tasks))
                 state.optimizer.zero_grad()
@@ -448,7 +441,6 @@ class ExperimentResult:
     seed: int
     matrix: AccuracyMatrix
     metrics: dict
-    state: ExperimentState
 
 
 def run_experiment(cfg, seed):
@@ -462,7 +454,7 @@ def run_experiment(cfg, seed):
         trainer.evaluate(state, t)
     assert state.encoder.kernel_bytes() == kernels_before, "encoder drifted"
     acc, fm, la = compute_metrics(state.matrix)
-    return ExperimentResult(seed, state.matrix, {"acc": acc, "fm": fm, "la": la}, state)
+    return ExperimentResult(seed, state.matrix, {"acc": acc, "fm": fm, "la": la})
 
 
 def state_fingerprint(state):

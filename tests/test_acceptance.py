@@ -80,7 +80,7 @@ batch = 4
     with T.no_grad():
         h_rep = state.encoder.features(Tensor(rep.xs), "top_down").data
     teacher_logits = state.teacher.logits_np(h_rep)
-    weights = trainer._weights()
+    weights = trainer.cfg.loss
     # eval mode keeps the closure pure: train-mode forwards would mutate the
     # BN running statistics, which are constants of the optimization step
     state.classifier.eval()
@@ -90,7 +90,7 @@ batch = 4
             state.classifier.forward(Tensor(h_cur)), batch.ys,
             state.classifier.forward(Tensor(h_rep)), rep.ys,
             teacher_logits, state.tuple_set,
-            state.classifier.embed, weights)
+            state.classifier.embed, loss_cfg=weights)
         assert set(parts) == {"ce", "er", "dctn", "dcsd"}
         return loss
 

@@ -1,8 +1,11 @@
 """Config grammar, validation, CLI commands, output bundles."""
 
+import dataclasses
 import os
+import re
 import stat
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,6 +52,9 @@ batch = 10
 seeds = 0,1
 """
 
+FLOAT_KEYS = [f"{name}.{f.name}" for name, section in ExperimentConfig().sections().items()
+              for f in dataclasses.fields(section) if isinstance(getattr(section, f.name), float)]
+
 
 class TestParsing:
     def test_empty_file_gives_defaults(self):
@@ -89,6 +95,31 @@ class TestParsing:
             parse_config_text("[train]\nlr = fast\n")
         with pytest.raises(InvalidValue):
             parse_config_text("[replay]\nenabled = yes\n")
+
+    def test_readme_sample_parses_to_the_defaults(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"^```ini\n(.*?)^```", readme, flags=re.M | re.S)
+        assert len(blocks) == 1
+        assert serialize(parse_config_text(blocks[0])) == serialize(parse_config_text(""))
+
+    @pytest.mark.parametrize("path", FLOAT_KEYS)
+    def test_non_finite_floats_rejected(self, tmp_path, capsys, path):
+        section, key = path.split(".")
+        cfg_path = tmp_path / "exp.cfg"
+        out = tmp_path / "out"
+        for raw in ("inf", "-inf", "1e999", "nan"):
+            with pytest.raises(InvalidValue) as err:
+                parse_config_text(f"[{section}]\n{key} = {raw}\n")
+            assert err.value.path == path
+            cfg_path.write_text(TINY_FILE + f"[{section}]\n{key} = {raw}\n")
+            assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+            assert capsys.readouterr().err == (
+                f"error: {path}: must be a finite number, got {raw!r}\n")
+            cfg_path.write_text(TINY_FILE)
+            assert main(["ablate", "--config", str(cfg_path), "--axis", path,
+                         f"--values={raw}", "--out", str(out)]) == 2
+            assert capsys.readouterr().err.startswith(f"error: {path}: must be a finite number")
+            assert sorted(os.listdir(tmp_path)) == ["exp.cfg"]  # nothing created
 
     def test_round_trip(self):
         cfg = parse_config_text(TINY_FILE)
@@ -390,6 +421,16 @@ class TestCmdRun:
             assert capsys.readouterr().err == f"error: --out {out}: {taken} is not a directory\n"
         assert sorted(os.listdir(tmp_path)) == ["exp.cfg", "taken"]  # nothing created
         assert taken.read_text() == "keep"
+
+    @pytest.mark.parametrize("command", [
+        ["run"], ["ablate", "--axis", "model.norm_kind", "--values", "bn"]], ids=["run", "ablate"])
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys, command):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_bytes(b"# \xff\xfe\n" + TINY_FILE.encode())
+        assert main(command + ["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot read config {cfg_path}: not UTF-8 (")
+        assert sorted(os.listdir(tmp_path)) == ["exp.cfg"]  # nothing created
 
 
 class TestCmdAblate:

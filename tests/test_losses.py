@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 import streamcl.tensor as T
+from streamcl.config import InvalidValue, LossConfig, parse_config_text
 from streamcl.losses import (
     DISTILL_VARIANTS,
     LabelOutOfRange,
-    LossWeights,
     POTENTIAL_METRICS,
     ZeroVector,
     build_tuple_set,
@@ -20,7 +20,7 @@ from streamcl.losses import (
     tf_pair_indices,
     total_objective,
 )
-from streamcl.tensor import InvalidConfig, Parameter, Tensor
+from streamcl.tensor import Parameter, Tensor
 
 
 def potential_oracle(anchors, tuples, metric, tau):
@@ -359,7 +359,7 @@ class TestTotalObjective:
         rng = np.random.default_rng(10)
         logits = Tensor(rng.normal(size=(4, 3)))
         labels = rng.integers(0, 3, size=4)
-        loss, parts = total_objective(logits, labels)
+        loss, parts = total_objective(logits, labels, loss_cfg=LossConfig())
         assert loss.item() == ce_loss(Tensor(logits.data), labels).item()
         assert set(parts) == {"ce"}
 
@@ -369,10 +369,10 @@ class TestTotalObjective:
         rep = Tensor(rng.normal(size=(6, 3)))
         yc = rng.integers(0, 3, size=4)
         yr = rng.integers(0, 3, size=6)
-        weights = LossWeights(lambda_dctn=0.0, lambda_dcsd=0.0)
+        weights = LossConfig(lambda_dctn=0.0, lambda_dcsd=0.0)
         loss, parts = total_objective(cur, yc, rep, yr,
                                       teacher_replay_logits=rng.normal(size=(6, 3)),
-                                      weights=weights)
+                                      loss_cfg=weights)
         expected = ce_loss(Tensor(cur.data), yc).item() + ce_loss(Tensor(rep.data), yr).item()
         assert loss.item() == expected
         assert "dctn" not in parts and "dcsd" not in parts
@@ -387,10 +387,10 @@ class TestTotalObjective:
         yc = rng.integers(0, 4, size=4)
         yr = rng.integers(0, 4, size=5)
         t_logits = rng.normal(size=(5, 4))
-        weights = LossWeights()
+        weights = LossConfig()
         w.data += 0.2
         loss, _ = total_objective(Tensor(cur), yc, Tensor(rep), yr, t_logits,
-                                  tset, student, weights)
+                                  tset, student, loss_cfg=weights)
         manual = (ce_loss(Tensor(cur), yc).item()
                   + ce_loss(Tensor(rep), yr).item()
                   + weights.lambda_dctn * kl_pointwise_distill(t_logits, Tensor(rep), weights.tau_dctn).item()
@@ -412,12 +412,12 @@ class TestTotalObjective:
         def f():
             loss, _ = total_objective(T.matmul(Tensor(cur_x), w), yc,
                                       T.matmul(Tensor(rep_x), w), yr,
-                                      t_logits, tset, student, LossWeights())
+                                      t_logits, tset, student, loss_cfg=LossConfig())
             return loss
 
         report = T.finite_difference_check(f, [w], step=1e-6, tol=1e-4)
         assert report.passed, report
 
     def test_negative_weight_rejected(self):
-        with pytest.raises(InvalidConfig):
-            LossWeights(lambda_dcsd=-1.0)
+        with pytest.raises(InvalidValue):
+            parse_config_text("[loss]\nlambda_dcsd = -1\n")

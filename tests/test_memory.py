@@ -86,6 +86,31 @@ class TestReservoirBuffer:
         assert buf.unique_labels() == list(range(10))
 
 
+class TestBufferParity:
+    def test_both_policies_answer_the_same_queries(self):
+        """Holding the same items, a ring and a reservoir agree on every query."""
+        rng = np.random.default_rng(3)
+        ring, reservoir = RingBuffer(20), ReservoirBuffer(60)
+        for i in range(45):  # tasks arrive in order, as in a stream
+            x = np.full((1, 2, 2), float(i))
+            for buf in (ring, reservoir):
+                buf.insert(x, (i * 7) % 5, 1 + i // 15, i, rng=rng)
+
+        def key(items):
+            return [(float(x[0, 0, 0]), y, t, i) for x, y, t, i in items]
+
+        assert len(ring) == len(reservoir) == 45
+        assert ring.stored_tasks() == reservoir.stored_tasks() == [1, 2, 3]
+        assert ring.unique_labels() == reservoir.unique_labels() == [0, 1, 2, 3, 4]
+        for t in (1, 2, 3, 4):
+            assert key(ring.task_items(t)) == key(reservoir.task_items(t))
+        assert ring.task_items(4) == []
+        for label in range(6):
+            assert key(ring.label_items(label)) == key(reservoir.label_items(label))
+        assert ring.label_items(5) == []
+        assert key(ring.items()) == key(reservoir.items())
+
+
 class TestBufferSample:
     def test_exhaustive_draw_is_permutation(self):
         buf = RingBuffer(10)

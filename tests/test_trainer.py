@@ -326,7 +326,7 @@ class TestDeterminismAndEquality:
 
     def test_encoder_kernels_frozen_through_run(self):
         res = run_experiment(tiny_cfg(), seed=6)
-        assert res.state.matrix.complete
+        assert res.matrix.complete
 
     def test_plain_er_reference_equality(self):
         """With distillation off and BN norms the trainer must match a
@@ -447,6 +447,42 @@ class TestKnobs:
         assert not np.array_equal(pair.teacher_potential, logit_pot.data)
 
 
+class TestMaskedCE:
+    CLASS_SETS = {1: [0, 3], 2: [1, 4], 3: [2, 5]}
+
+    def _batch(self, seed):
+        rng = np.random.default_rng(seed)
+        task_ids = np.array([1, 3, 1, 2, 3, 3, 1])
+        ys = np.array([self.CLASS_SETS[t][rng.integers(2)] for t in task_ids])
+        return rng.normal(size=(7, 4)), rng.normal(size=(4, 6)), ys, task_ids
+
+    def test_size_weighted_ce_over_each_tasks_columns(self):
+        x, w, ys, task_ids = self._batch(0)
+        logits = x @ w
+        got = trainer_module._masked_ce(Tensor(logits), ys, task_ids, self.CLASS_SETS).item()
+        expected = 0.0
+        for t, cols in self.CLASS_SETS.items():
+            rows = task_ids == t
+            local = ce_loss(Tensor(logits[rows][:, cols]), np.searchsorted(cols, ys[rows]))
+            expected += local.item() * rows.sum() / len(ys)
+        assert got == pytest.approx(expected, abs=1e-12)
+        # the same value from a plain-numpy log-softmax over each row's own columns
+        per_row = [np.log(np.exp(logits[i, self.CLASS_SETS[t]]).sum()) - logits[i, y]
+                   for i, (t, y) in enumerate(zip(task_ids, ys))]
+        assert got == pytest.approx(np.mean(per_row), abs=1e-12)
+
+    def test_gradient_matches_finite_differences(self):
+        x, w0, ys, task_ids = self._batch(1)
+        w = T.Parameter(w0, "w")
+
+        def f():
+            return trainer_module._masked_ce(T.matmul(Tensor(x), w), ys, task_ids,
+                                             self.CLASS_SETS)
+
+        report = T.finite_difference_check(f, [w], step=1e-6, tol=1e-4)
+        assert report.passed, report
+
+
 class TestModes:
     def test_multi_head_runs_and_scores(self):
         cfg = tiny_cfg(loss="distill_variant = none\nlambda_dctn = 0")
@@ -474,7 +510,7 @@ class TestModes:
         cfg = tiny_cfg(loss="distill_variant = none\nlambda_dctn = 0")
         cfg.encoder.aggregate_mode = "standard"
         res = run_experiment(cfg, seed=10)
-        assert res.state.classifier.arch == "head_only"
+        assert Trainer(cfg, 10).build_state().classifier.arch == "head_only"
         assert res.matrix.complete
 
     def test_pyramid_file_mode_matches_live_encoder(self, tmp_path):
