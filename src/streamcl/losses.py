@@ -207,9 +207,9 @@ def total_objective(cur_logits, cur_labels, replay_logits=None, replay_labels=No
     The config's ``[loss]`` section gives the weights and temperatures.
     Replay terms are skipped while the buffer is empty; distillation terms
     are skipped while no snapshot exists. ``ce_fn``/``replay_ce_fn`` let the
-    caller substitute masked cross-entropies (multi-head evaluation being
-    the one user); they default to :func:`ce_loss`. Returns the scalar loss
-    and the value of each active part.
+    caller score each row over its own head (the trainer's ``_head_ce``);
+    they default to :func:`ce_loss`. Returns the scalar loss and the value
+    of each active part.
     """
     ce_fn = ce_fn or ce_loss
     replay_ce_fn = replay_ce_fn or ce_fn

@@ -143,6 +143,15 @@ def generate_stream(kind, n_tasks, classes_per_task, samples_per_task,
     return TaskStream(kind, tasks, dims, channels)
 
 
+def _read(path, parse):
+    """``parse`` applied to the open file; an unreadable file is a config error."""
+    try:
+        with open(path, "rb") as fh:
+            return parse(fh)
+    except (OSError, ValueError, EOFError) as exc:
+        raise InvalidConfig(f"cannot read {path}: {exc}") from None
+
+
 def _load_tiny_images(n_tasks, classes_per_task, samples_per_task, test_samples,
                       dims, channels, seed, data_dir):
     if not data_dir:
@@ -151,23 +160,24 @@ def _load_tiny_images(n_tasks, classes_per_task, samples_per_task, test_samples,
     lbl_path = os.path.join(data_dir, "labels.txt")
     if not (os.path.exists(img_path) and os.path.exists(lbl_path)):
         raise InvalidConfig(f"{data_dir} must hold images.npy and labels.txt")
-    images = np.load(img_path).astype(np.float64)
-    labels = np.array([int(l) for l in open(lbl_path).read().split()], dtype=np.int64)
+    # read_array takes a plain .npy array only: no pickles, no .npz archive
+    images = _read(img_path, lambda fh: np.lib.format.read_array(fh).astype(np.float64))
+    labels = _read(lbl_path, lambda fh: np.array([int(tok) for tok in fh.read().split()]))
     if images.ndim != 4 or images.shape[0] != labels.size:
         raise InvalidConfig("images.npy must be (N,C,W,H) matching labels.txt")
     if images.shape[1] != channels or images.shape[2] != dims or images.shape[3] != dims:
         raise InvalidConfig(
             f"images are {images.shape[1:]}, config wants ({channels},{dims},{dims})")
-    classes = np.unique(labels)
+    # classes are numbered by rank, so task t holds classes t*cpt .. (t+1)*cpt - 1
+    classes, labels = np.unique(labels, return_inverse=True)
     if classes.size < n_tasks * classes_per_task:
         raise InvalidConfig("not enough classes in the directory for the split")
     rng = np.random.default_rng(seed)
     tasks = []
     next_index = 0
     for t in range(n_tasks):
-        class_ids = tuple(int(c) for c in
-                          classes[t * classes_per_task:(t + 1) * classes_per_task])
-        pool = np.flatnonzero(np.isin(labels, class_ids))
+        class_ids = tuple(range(t * classes_per_task, (t + 1) * classes_per_task))
+        pool = np.flatnonzero(labels // classes_per_task == t)
         pool = rng.permutation(pool)
         need = samples_per_task + test_samples
         if pool.size < need:

@@ -203,6 +203,7 @@ class ExperimentState:
     optimizer: SGD
     buffer: object
     matrix: AccuracyMatrix
+    heads: np.ndarray  # row t - 1: the sorted class columns task t may predict
     rngs: dict
     teacher: Classifier | None = None
     tuple_set: DistillTupleSet | None = None
@@ -220,19 +221,15 @@ def _features(state, xs, indices):
     return out.data
 
 
-def _masked_ce(logits, ys, task_ids, class_sets):
-    """Multi-head cross-entropy: each sample's logits are restricted to its
-    own task's class columns, batch-mean preserved via size weighting."""
-    total = None
-    n = len(ys)
-    for t in np.unique(task_ids):
-        rows = np.flatnonzero(task_ids == t)
-        cols = np.asarray(class_sets[int(t)])
-        local = take(logits, np.ix_(rows, cols))
-        local_ys = np.searchsorted(cols, ys[rows])
-        part = losses.ce_loss(local, local_ys) * (len(rows) / n)
-        total = part if total is None else total + part
-    return total
+def _head_ce(logits, ys, task_ids, heads):
+    """Cross-entropy of each row over its own head, the class columns
+    ``heads[task_id - 1]``; the label becomes its position in that row."""
+    cols = heads[task_ids - 1]
+    hit = cols == ys[:, None]
+    if not hit.any(axis=1).all():
+        raise losses.LabelOutOfRange("a label lies outside its task's head")
+    local = take(logits, (np.arange(len(cols))[:, None], cols))
+    return losses.ce_loss(local, hit.argmax(axis=1))
 
 
 class Trainer:
@@ -269,6 +266,8 @@ class Trainer:
                                 cfg.model.groups, cfg.model.momentum, cfg.model.epsilon,
                                 rng_init, cfg.model.feature_channels, arch,
                                 cfg.loss.embedding)
+        heads = np.array([sorted(t.class_ids) if cfg.model.head_mode == "multi"
+                          else range(stream.n_classes) for t in stream.tasks])
         if cfg.replay.policy == "ring":
             buffer = RingBuffer(cfg.replay.capacity)
         else:
@@ -276,9 +275,8 @@ class Trainer:
         return ExperimentState(
             cfg=cfg, stream=stream, encoder=encoder, classifier=classifier,
             optimizer=SGD(classifier.params(), cfg.train.lr), buffer=buffer,
-            matrix=AccuracyMatrix(stream.n_tasks),
-            rngs={"data": np.random.default_rng(ss_data),
-                  "buffer": np.random.default_rng(ss_buffer),
+            matrix=AccuracyMatrix(stream.n_tasks), heads=heads,
+            rngs={"buffer": np.random.default_rng(ss_buffer),
                   "augment": np.random.default_rng(ss_augment)})
 
     def _feature_shape(self, stream, encoder):
@@ -286,16 +284,6 @@ class Trainer:
         with no_grad():
             out = encoder.features(probe, self.cfg.encoder.aggregate_mode, indices=np.array([0]))
         return out.shape[1:]
-
-    # loss plumbing ------------------------------------------------------
-
-    def _class_sets(self, stream):
-        return {t.task_id + 1: sorted(t.class_ids) for t in stream.tasks}
-
-    def _ce(self, state, logits, ys, task_ids):
-        if self.cfg.model.head_mode == "multi":
-            return _masked_ce(logits, ys, task_ids, self._class_sets(state.stream))
-        return losses.ce_loss(logits, ys)
 
     # training -----------------------------------------------------------
 
@@ -333,8 +321,8 @@ class Trainer:
                     state.classifier.forward(Tensor(h_cur)), batch.ys,
                     rep_logits, rep_ys, teacher_logits, state.tuple_set,
                     state.classifier.embed, loss_cfg=cfg.loss,
-                    ce_fn=lambda lo, ys: self._ce(state, lo, ys, cur_tasks),
-                    replay_ce_fn=lambda lo, ys: self._ce(state, lo, ys, rep_tasks))
+                    ce_fn=lambda lo, ys: _head_ce(lo, ys, cur_tasks, state.heads),
+                    replay_ce_fn=lambda lo, ys: _head_ce(lo, ys, rep_tasks, state.heads))
                 state.optimizer.zero_grad()
                 loss.backward()
                 state.optimizer.step()
@@ -417,7 +405,6 @@ class Trainer:
     def evaluate(self, state, upto_task):
         """Fill matrix row ``upto_task`` (0-based); never mutates state."""
         clf = state.classifier
-        class_sets = self._class_sets(state.stream)
         with clf.eval_mode(), no_grad():
             for j in range(upto_task + 1):
                 test = state.stream.tasks[j].test
@@ -426,11 +413,8 @@ class Trainer:
                     sl = slice(start, start + 100)
                     h = _features(state, test.xs[sl], test.indices[sl])
                     logits = clf.forward(Tensor(h)).data
-                    if self.cfg.model.head_mode == "multi":
-                        cols = np.asarray(class_sets[j + 1])
-                        pred = cols[logits[:, cols].argmax(axis=1)]
-                    else:
-                        pred = logits.argmax(axis=1)
+                    cols = state.heads[j]
+                    pred = cols[logits[:, cols].argmax(axis=1)]
                     correct += int(np.sum(pred == test.ys[sl]))
                 state.matrix.set_entry(upto_task, j, correct / len(test))
         return state.matrix.row(upto_task)
@@ -464,6 +448,6 @@ def state_fingerprint(state):
     for x, y, t, i in state.buffer.items():
         h.update(x.tobytes())
         h.update(np.int64(y).tobytes() + np.int64(t).tobytes() + np.int64(i).tobytes())
-    for name in ("data", "buffer", "augment"):
+    for name in ("buffer", "augment"):
         h.update(repr(state.rngs[name].bit_generator.state).encode())
     return h.hexdigest()

@@ -211,6 +211,20 @@ class TestParsing:
         assert not out.exists()
 
 
+def _tiny_images_dir(path, labels):
+    """A 2-task, 16x16 tiny_images directory: 25 images of each of the four labels."""
+    path.mkdir()
+    np.save(path / "images.npy", np.random.default_rng(3).normal(size=(100, 1, 16, 16)))
+    (path / "labels.txt").write_text(" ".join(str(l) for l in np.repeat(labels, 25)))
+    return TINY_FILE.replace("seeds = 0,1", "seeds = 0").replace(
+        "kind = gaussian_blobs", f"kind = tiny_images\ndims = 16\ndata_dir = {path}")
+
+
+def _npz_archive(path):
+    np.savez(path, np.zeros((100, 1, 16, 16)))
+    return path
+
+
 class TestCmdRun:
     def test_fanout_and_aggregate(self, tmp_path):
         cfg_path = tmp_path / "exp.cfg"
@@ -246,6 +260,31 @@ class TestCmdRun:
         assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
         assert "force" in capsys.readouterr().err
         assert main(["run", "--config", str(cfg_path), "--out", str(out), "--force"]) == 0
+
+    @pytest.mark.parametrize("name, spoil", [
+        ("labels.txt", lambda bad: bad.write_text(bad.read_text() + " x")),
+        ("images.npy", lambda bad: np.save(bad, np.array([{}] * 100), allow_pickle=True)),
+        ("images.npy", lambda bad: _npz_archive(bad.with_suffix(".npz")).replace(bad)),
+    ], ids=["label_token", "pickled", "npz"])
+    def test_unreadable_tiny_images_file_exits_2(self, tmp_path, capsys, name, spoil):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(_tiny_images_dir(tmp_path / "data", np.arange(4)))
+        bad = tmp_path / "data" / name
+        spoil(bad)
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(bad) in err
+        assert sorted(os.listdir(tmp_path)) == ["data", "exp.cfg"]  # no output directory left
+
+    def test_tiny_images_labels_numbered_by_rank(self, tmp_path):
+        matrices = []
+        for base in (0, 1):
+            cfg_path = tmp_path / f"exp{base}.cfg"
+            cfg_path.write_text(_tiny_images_dir(tmp_path / f"data{base}", np.arange(4) + base))
+            out = tmp_path / f"out{base}"
+            assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+            matrices.append((out / "matrix_0.csv").read_bytes())
+        assert matrices[0] == matrices[1]
 
     def test_force_replaces_the_whole_bundle(self, tmp_path):
         cfg_path = tmp_path / "exp.cfg"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import streamcl.tensor as T
-from streamcl.config import InvalidValue, LossConfig, parse_config_text
+from streamcl.config import LossConfig
 from streamcl.losses import (
     DISTILL_VARIANTS,
     LabelOutOfRange,
@@ -417,7 +417,3 @@ class TestTotalObjective:
 
         report = T.finite_difference_check(f, [w], step=1e-6, tol=1e-4)
         assert report.passed, report
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(InvalidValue):
-            parse_config_text("[loss]\nlambda_dcsd = -1\n")

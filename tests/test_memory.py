@@ -57,28 +57,6 @@ class TestReservoirBuffer:
         fill(buf, 500, rng=rng)
         assert len(buf) == 10
 
-    def test_inclusion_rate_within_binomial_band(self):
-        # 200 seeds, n=10000, K=100: bucket the stream by position decile and
-        # require each bucket's inclusion count within 3 sigma of binomial
-        # (per-item bands at these counts would flag ~0.5% of items by chance)
-        seeds = 200
-        n, k = 10_000, 100
-        counts = np.zeros(n)
-        for seed in range(seeds):
-            rng = np.random.default_rng(seed)
-            buf = ReservoirBuffer(k)
-            for i in range(n):
-                buf.insert(np.zeros(1), 0, 0, i, rng=rng)
-            for it in buf.items():
-                counts[it[3]] += 1
-        p = k / n
-        bucket = n // 10
-        trials = seeds * bucket
-        sigma = np.sqrt(trials * p * (1 - p))
-        for b in range(10):
-            got = counts[b * bucket:(b + 1) * bucket].sum()
-            assert abs(got - trials * p) <= 3 * sigma, (b, got, trials * p, sigma)
-
     def test_unique_labels(self):
         rng = np.random.default_rng(2)
         buf = ReservoirBuffer(50)

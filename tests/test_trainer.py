@@ -7,7 +7,7 @@ import streamcl.tensor as T
 import streamcl.trainer as trainer_module
 from streamcl.config import parse_config_text
 from streamcl.encoder import save_pyramid_file
-from streamcl.losses import POTENTIAL_METRICS, ce_loss, potential_matrix
+from streamcl.losses import POTENTIAL_METRICS, LabelOutOfRange, ce_loss, potential_matrix
 from streamcl.memory import buffer_sample
 from streamcl.streams import augment_batch
 from streamcl.tensor import Tensor
@@ -448,26 +448,26 @@ class TestKnobs:
 
 
 class TestMaskedCE:
-    CLASS_SETS = {1: [0, 3], 2: [1, 4], 3: [2, 5]}
+    HEADS = np.array([[0, 3], [1, 4], [2, 5]])  # row t - 1: task t's class columns
 
     def _batch(self, seed):
         rng = np.random.default_rng(seed)
         task_ids = np.array([1, 3, 1, 2, 3, 3, 1])
-        ys = np.array([self.CLASS_SETS[t][rng.integers(2)] for t in task_ids])
+        ys = np.array([self.HEADS[t - 1][rng.integers(2)] for t in task_ids])
         return rng.normal(size=(7, 4)), rng.normal(size=(4, 6)), ys, task_ids
 
     def test_size_weighted_ce_over_each_tasks_columns(self):
         x, w, ys, task_ids = self._batch(0)
         logits = x @ w
-        got = trainer_module._masked_ce(Tensor(logits), ys, task_ids, self.CLASS_SETS).item()
+        got = trainer_module._head_ce(Tensor(logits), ys, task_ids, self.HEADS).item()
         expected = 0.0
-        for t, cols in self.CLASS_SETS.items():
+        for t, cols in enumerate(self.HEADS, start=1):
             rows = task_ids == t
             local = ce_loss(Tensor(logits[rows][:, cols]), np.searchsorted(cols, ys[rows]))
             expected += local.item() * rows.sum() / len(ys)
         assert got == pytest.approx(expected, abs=1e-12)
         # the same value from a plain-numpy log-softmax over each row's own columns
-        per_row = [np.log(np.exp(logits[i, self.CLASS_SETS[t]]).sum()) - logits[i, y]
+        per_row = [np.log(np.exp(logits[i, self.HEADS[t - 1]]).sum()) - logits[i, y]
                    for i, (t, y) in enumerate(zip(task_ids, ys))]
         assert got == pytest.approx(np.mean(per_row), abs=1e-12)
 
@@ -476,11 +476,44 @@ class TestMaskedCE:
         w = T.Parameter(w0, "w")
 
         def f():
-            return trainer_module._masked_ce(T.matmul(Tensor(x), w), ys, task_ids,
-                                             self.CLASS_SETS)
+            return trainer_module._head_ce(T.matmul(Tensor(x), w), ys, task_ids, self.HEADS)
 
         report = T.finite_difference_check(f, [w], step=1e-6, tol=1e-4)
         assert report.passed, report
+
+    def test_single_head_is_plain_ce_bitwise(self):
+        x, w, ys, task_ids = self._batch(2)
+        heads = np.tile(np.arange(6), (3, 1))
+        grads = []
+        for ce in (lambda lo: ce_loss(lo, ys),
+                   lambda lo: trainer_module._head_ce(lo, ys, task_ids, heads)):
+            logits = T.Parameter(x @ w, "logits")
+            loss = ce(logits)
+            loss.backward()
+            grads.append((loss.data.tobytes(), logits.grad.tobytes()))
+        assert grads[0] == grads[1]
+
+    def test_label_outside_its_head_rejected(self):
+        # label 1 belongs to task 2; scored in task 1's head [0, 3] it has no column
+        logits = Tensor(np.zeros((2, 6)))
+        with pytest.raises(LabelOutOfRange):
+            trainer_module._head_ce(logits, np.array([0, 1]), np.array([1, 1]), self.HEADS)
+        with pytest.raises(LabelOutOfRange):  # single head: past the last class
+            trainer_module._head_ce(logits, np.array([0, 6]), np.array([1, 2]),
+                                    np.tile(np.arange(6), (3, 1)))
+
+
+class TestHeadTable:
+    @pytest.mark.parametrize("head_mode, expected", [
+        ("single", [list(range(6))] * 3),
+        ("multi", [[0, 1], [2, 3], [4, 5]]),
+    ])
+    def test_rows_hold_each_tasks_columns(self, head_mode, expected):
+        cfg = tiny_cfg(loss="distill_variant = none\nlambda_dctn = 0")
+        cfg.model.head_mode = head_mode
+        state = Trainer(cfg, seed=0).build_state()
+        assert [sorted(t.class_ids) for t in state.stream.tasks] == [[0, 1], [2, 3], [4, 5]]
+        assert state.heads.tolist() == expected
 
 
 class TestModes:
