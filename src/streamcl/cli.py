@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import fnmatch
 import os
 import shutil
@@ -41,7 +42,28 @@ def _thread_cap():
         raise ConfigError(f"MUFAN_THREADS must be an integer, got {raw!r}")
 
 
+def _pin_malloc_thresholds():
+    """Fix glibc malloc's mmap and trim thresholds for the run's process.
+
+    By default glibc raises both to the largest block freed so far. The
+    encoder's 32-row blocks keep every temporary small, so the heap would
+    hand its pages back to the kernel after each block and fault them in
+    again: a blob run took three times the page faults of 64- and 100-row
+    encoder calls, and 20-40% longer per batch.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except AttributeError:  # a C library without mallopt
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, its largest allowed value
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def _run_seeds(cfg, seeds):
+    _pin_malloc_thresholds()
     workers = min(_thread_cap(), len(seeds))
     if workers == 1:
         return [run_experiment(cfg, s) for s in seeds]

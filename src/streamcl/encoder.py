@@ -205,8 +205,9 @@ class StoredPyramidEncoder(MultiScaleEncoder):
 
     @classmethod
     def from_file(cls, path, mixer, input_channels, stage_channels, dims):
-        """Load ``path``; its channels must match ``stage_channels`` and level
-        ``i``'s spatial dims must be ``dims / 2**i``, as the stride-2 stages give."""
+        """Load ``path``; it must hold one level per stage channel count, with
+        those channels, and level ``i``'s spatial dims must be ``dims / 2**i``,
+        as the stride-2 stages give."""
         levels = load_pyramid_file(path)
         if len(levels) > len(stage_channels):
             raise InvalidConfig(f"{path}: {len(levels)} levels but only "
@@ -219,6 +220,9 @@ class StoredPyramidEncoder(MultiScaleEncoder):
             if level.shape[2:] != (side, side):
                 raise InvalidConfig(f"{path}: level {i + 1} is {level.shape[2:]}, "
                                     f"stream.dims = {dims} gives {(side, side)}")
+        if len(levels) < len(stage_channels):
+            raise InvalidConfig(f"{path}: {len(levels)} levels, but "
+                                f"{len(stage_channels)} stage channel counts")
         return cls(levels, mixer, input_channels, stage_channels)
 
     def extract(self, x, indices=None):

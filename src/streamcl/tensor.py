@@ -426,12 +426,17 @@ def conv2d(x, kernel, stride=1, padding=0):
     ho = (h + 2 * padding - k) // stride + 1
     if wo < 1 or ho < 1:
         raise InvalidConfig("output would be empty")
-    xp = np.zeros((b, cin, w + 2 * padding, h + 2 * padding))
-    xp[:, :, padding:padding + w, padding:padding + h] = x.data
+    if padding:
+        xp = np.zeros((b, cin, w + 2 * padding, h + 2 * padding))
+        xp[:, :, padding:padding + w, padding:padding + h] = x.data
+    else:
+        xp = x.data
     taps = {(i, j): np.s_[:, :, i:i + stride * wo:stride, j:j + stride * ho:stride]
             for i in range(k) for j in range(k)}
 
     def im2col():  # (Cin*k*k, B*Wo*Ho); backward rebuilds it so the closure holds only xp
+        if k == 1:  # a 1x1 conv's columns are its (strided) input, channels first
+            return xp[taps[0, 0]].transpose(1, 0, 2, 3).reshape(ci, -1)
         cols = np.empty((ci, k, k, b, wo, ho))
         for (i, j), tap in taps.items():
             cols[:, i, j] = xp[tap].transpose(1, 0, 2, 3)

@@ -205,20 +205,129 @@ class ExperimentState:
     matrix: AccuracyMatrix
     heads: np.ndarray  # row t - 1: the sorted class columns task t may predict
     rngs: dict
+    memo: FeatureMemo
     teacher: Classifier | None = None
     tuple_set: DistillTupleSet | None = None
     class_order: list = field(default_factory=list)
     pseudo_level: int = 0
     losses_seen: list = field(default_factory=list)
+    test_features: dict = field(default_factory=dict)  # task index -> its test set's features
+
+
+ENCODE_BLOCK = 32  # rows per encoder call; larger blocks only grow the im2col buffers
+MEMO_ROWS = 512  # slab rows of the train-side feature memo
+FINGERPRINT_WORDS = 128  # a candidate slot is found from these words; a hit needs all
+
+
+def feature_shape(cfg):
+    """(C, W, H) of the aggregated features: top-down ends at the first level
+    (or at the extra projection's channels), the other modes at the deepest."""
+    enc, dims = cfg.encoder, cfg.stream.dims
+    if enc.aggregate_mode == "top_down":
+        return (enc.aggregate_channels or enc.stage_channels[0], dims // 2, dims // 2)
+    return (enc.stage_channels[3], dims // 16, dims // 16)
+
+
+def _padded_rows(b, dims):
+    """Smallest row count >= ``b`` for which the deepest level's GEMMs get a
+    column count, rows * (dims/16)**2, that is a multiple of 8 and at least 16.
+    OpenBLAS then runs only its full-width kernels, so a row's features do not
+    depend on the rows that share its call."""
+    per_row = (dims // 16) ** 2
+    rows = b
+    while rows * per_row % 8 or rows * per_row < 16:
+        rows += 1
+    return rows
+
+
+def _encode(state, xs, indices):
+    """Aggregated encoder features as a plain array, bitwise independent of
+    the batch: blocks of at most ENCODE_BLOCK rows, each padded with zero rows
+    (sample index 0) to :func:`_padded_rows`, and the padding dropped. The
+    encoder is frozen, so nothing upstream ever needs gradients."""
+    out = np.empty((len(xs),) + feature_shape(state.cfg))
+    dims = state.cfg.stream.dims
+    for start in range(0, len(xs), ENCODE_BLOCK):
+        sl = slice(start, start + ENCODE_BLOCK)
+        x, idx = xs[sl], indices[sl]
+        b = len(x)
+        pad = _padded_rows(b, dims) - b
+        if pad:
+            x = np.concatenate([x, np.zeros((pad,) + x.shape[1:])])
+            idx = np.concatenate([idx, np.zeros(pad, dtype=idx.dtype)])
+        with no_grad():
+            h = state.encoder.features(Tensor(x), state.cfg.encoder.aggregate_mode, indices=idx)
+        out[sl] = h.data[:b]
+    return out
+
+
+class FeatureMemo:
+    """Exact memo of training-row features: a preallocated slab of ``rows``
+    (input, feature) entries, overwritten in ring order.
+
+    A row hits when a slot holds its sample index and its input bytes; a
+    per-row fingerprint only picks the candidate slot. The index is part of
+    the key because a stored pyramid serves features by index, whatever the
+    input holds.
+    """
+
+    def __init__(self, rows, input_shape, feature_shape):
+        self.xs = np.empty((rows, int(np.prod(input_shape))), dtype=np.uint64)
+        self.feats = np.empty((rows,) + tuple(feature_shape))
+        self.keys = np.zeros(rows, dtype=np.uint64)
+        self.indices = np.full(rows, -1, dtype=np.int64)  # -1 marks an empty slot
+        self.next = 0
+        # the fingerprint sums the sample index and the middle FINGERPRINT_WORDS
+        # 8-byte words of a row, each times an odd multiplier (wrapping mod 2**64)
+        width = min(FINGERPRINT_WORDS, self.xs.shape[1])
+        start = (self.xs.shape[1] - width) // 2
+        self.probe = slice(start, start + width)
+        self.weights = np.random.default_rng(0).integers(0, 2**63, width + 1, dtype=np.uint64) * 2 + 1
+
+    def features(self, xs, indices, encode):
+        """Features of the float rows ``xs``; ``encode(xs, indices)`` runs once
+        on the rows the slab lacks, each distinct row once."""
+        n, indices = len(xs), np.asarray(indices, dtype=np.int64)
+        words = np.ascontiguousarray(xs, dtype=np.float64).reshape(n, self.xs.shape[1])
+        words = words.view(np.uint64)
+        keys = ((words[:, self.probe] * self.weights[:-1]).sum(axis=1)
+                + indices.view(np.uint64) * self.weights[-1])
+        order = np.argsort(self.keys)
+        slot = order[np.searchsorted(self.keys, keys, sorter=order).clip(max=len(order) - 1)]
+        hit = (self.keys[slot] == keys) & (self.indices[slot] == indices)
+        cand = np.flatnonzero(hit)
+        hit[cand] = (self.xs[slot[cand]] == words[cand]).all(axis=1)
+        miss = np.flatnonzero(~hit)
+        # a row repeated within the call takes the features of its first copy
+        _, first, inverse = np.unique(keys[miss], return_index=True, return_inverse=True)
+        rep = miss[first][inverse]
+        dup = np.flatnonzero(rep != miss)
+        other = dup[(words[miss[dup]] != words[rep[dup]]).any(axis=1)
+                    | (indices[miss[dup]] != indices[rep[dup]])]  # fingerprint collisions
+        rep[other] = miss[other]
+        new = miss[rep == miss]
+        if len(new) == n:  # all rows new and distinct: nothing to gather
+            out = encode(xs, indices)
+        else:
+            out = np.empty((n,) + self.feats.shape[1:])
+            out[hit] = self.feats[slot[hit]]  # copied out before misses overwrite slots
+            if new.size:
+                out[new] = encode(xs[new], indices[new])
+            out[miss] = out[rep]
+        cap = len(self.keys)
+        for part in np.split(new[-cap:], [cap - self.next]):  # up to the ring's end, then from 0
+            ring = slice(self.next, self.next + len(part))
+            np.take(words, part, axis=0, out=self.xs[ring], mode="clip")
+            np.take(out, part, axis=0, out=self.feats[ring], mode="clip")
+            self.keys[ring], self.indices[ring] = keys[part], indices[part]
+            self.next = ring.stop % cap
+        return out
 
 
 def _features(state, xs, indices):
-    """Aggregated encoder features as a plain array (the encoder is frozen,
-    so nothing upstream ever needs gradients)."""
-    with no_grad():
-        out = state.encoder.features(Tensor(xs), state.cfg.encoder.aggregate_mode,
-                                     indices=indices)
-    return out.data
+    """Features of training rows (stream, replay and snapshot), through the
+    run's memo; see :func:`_encode`."""
+    return state.memo.features(xs, indices, lambda x, idx: _encode(state, x, idx))
 
 
 def _head_ce(logits, ys, task_ids, heads):
@@ -261,8 +370,7 @@ class Trainer:
                 raise InvalidConfig("pyramid file covers fewer samples than the stream")
         rng_init = np.random.default_rng(ss_init.spawn(1)[0])
         arch = "full" if cfg.encoder.aggregate_mode == "top_down" else "head_only"
-        in_shape = self._feature_shape(stream, encoder)
-        classifier = Classifier(in_shape, stream.n_classes, cfg.model.norm_kind,
+        classifier = Classifier(feature_shape(cfg), stream.n_classes, cfg.model.norm_kind,
                                 cfg.model.groups, cfg.model.momentum, cfg.model.epsilon,
                                 rng_init, cfg.model.feature_channels, arch,
                                 cfg.loss.embedding)
@@ -277,13 +385,9 @@ class Trainer:
             optimizer=SGD(classifier.params(), cfg.train.lr), buffer=buffer,
             matrix=AccuracyMatrix(stream.n_tasks), heads=heads,
             rngs={"buffer": np.random.default_rng(ss_buffer),
-                  "augment": np.random.default_rng(ss_augment)})
-
-    def _feature_shape(self, stream, encoder):
-        probe = Tensor(np.zeros((1, stream.channels, stream.dims, stream.dims)))
-        with no_grad():
-            out = encoder.features(probe, self.cfg.encoder.aggregate_mode, indices=np.array([0]))
-        return out.shape[1:]
+                  "augment": np.random.default_rng(ss_augment)},
+            memo=FeatureMemo(MEMO_ROWS, (cfg.stream.channels, cfg.stream.dims, cfg.stream.dims),
+                             feature_shape(cfg)))
 
     # training -----------------------------------------------------------
 
@@ -384,8 +488,6 @@ class Trainer:
             return state
         live = [(a, z) for a, z in pairs if len(anchors.get(a, ())) and len(tuples.get(z, ()))]
         batches = [b for a, z in live for b in (anchors[a], tuples[z])]
-        # one encoder call per batch, not per boundary: a 5-row encoder batch can
-        # differ from the same rows in a longer batch by about 1e-15
         stack, blocks = {}, []  # sample index -> its row of the stack
         for b in batches:
             fresh = [k for k, i in enumerate(b.indices.tolist()) if i not in stack]
@@ -403,15 +505,18 @@ class Trainer:
     # evaluation -----------------------------------------------------------
 
     def evaluate(self, state, upto_task):
-        """Fill matrix row ``upto_task`` (0-based); never mutates state."""
+        """Fill matrix row ``upto_task`` (0-based). Nothing but the test-feature
+        cache changes: each task's test set is encoded once per run, unaugmented."""
         clf = state.classifier
         with clf.eval_mode(), no_grad():
             for j in range(upto_task + 1):
                 test = state.stream.tasks[j].test
+                if j not in state.test_features:
+                    state.test_features[j] = _encode(state, test.xs, test.indices)
                 correct = 0
                 for start in range(0, len(test), 100):
                     sl = slice(start, start + 100)
-                    h = _features(state, test.xs[sl], test.indices[sl])
+                    h = state.test_features[j][sl]
                     logits = clf.forward(Tensor(h)).data
                     cols = state.heads[j]
                     pred = cols[logits[:, cols].argmax(axis=1)]

@@ -409,6 +409,7 @@ class TestCmdRun:
         ([(4, 16, 16), (4, 16, 16)], "level 2 is (16, 16)"),
         ([(4, 16, 16), (4, 8, 8), (8, 4, 4), (8, 2, 2), (8, 1, 1)], "5 levels"),
         ([(4, 32, 32), (4, 16, 16), (8, 8, 8), (8, 4, 4)], "level 1 is (32, 32)"),
+        ([(4, 16, 16), (4, 8, 8), (8, 4, 4)], "3 levels"),
     ])
     def test_pyramid_disagreeing_with_config_exits_2(self, tmp_path, capsys, shapes, level):
         pyramid = tmp_path / "pyr.bin"
