@@ -2,7 +2,10 @@
 
 BN, IN, LN, GN, SN and the IN/LN blend are one layer, ``MomentNorm``, that
 standardizes by the moments of the sources each kind declares; CN and the
-split-parallel module compose those layers.
+split-parallel module compose those layers. Each ``MomentNorm`` call is one
+autodiff node whose forward and backward replay, operation for operation, the
+arithmetic of the unrolled chain of tensor ops (moments, blend, standardize,
+affine), so its outputs and gradients are bitwise those of that chain.
 
 Every layer maps a (B,C,W,H) tensor to the same shape. Layers that use
 minibatch statistics (BN, the BN parts of SN/CN and of the split-parallel
@@ -12,7 +15,9 @@ layers (IN, LN, GN) are stateless and behave identically in both modes.
 
 from __future__ import annotations
 
+import operator
 from functools import reduce
+from itertools import accumulate
 
 import numpy as np
 
@@ -22,11 +27,9 @@ from .tensor import (
     Parameter,
     ShapeMismatch,
     Tensor,
-    add,
+    _from_op,
+    _unbroadcast,
     concat_channels,
-    moments,
-    power,
-    reshape,
     softmax,
     take,
 )
@@ -51,16 +54,6 @@ class RunningStats:
         m = self.momentum
         self.mean = (1.0 - m) * self.mean + m * batch_mean
         self.var = (1.0 - m) * self.var + m * batch_var
-
-    def batch_stats(self, x, training):
-        """Per-channel moments of ``x``: batch moments plus a running update
-        in train mode, the running estimates in eval mode."""
-        if not training:
-            return (Tensor(self.mean.reshape(1, -1, 1, 1)),
-                    Tensor(self.var.reshape(1, -1, 1, 1)))
-        mean, var = moments(x, (0, 2, 3))
-        self.update(mean.data.reshape(-1), var.data.reshape(-1))
-        return mean, var
 
     def buffers(self, prefix):
         return {f"{prefix}.running_mean": self.mean, f"{prefix}.running_var": self.var}
@@ -111,23 +104,20 @@ class NormLayer:
         return out
 
 
-def standardize(x, mean, var, epsilon):
-    """``(x - mean) / sqrt(var + epsilon)``: the one standardize step of the zoo."""
-    return (x - mean) * power(var + epsilon, -0.5)
-
-
 class MomentNorm(NormLayer):
     """Standardize by the moments of ``sources``, then an optional affine.
 
-    A source is ``"batch"`` (per-channel moments through
-    ``RunningStats.batch_stats``: batch moments with a running update in
-    train mode, running estimates in eval mode) or a tuple of axes that
-    ``moments`` reduces in both modes. Two or more sources are blended by the
-    learned softmax of ``logits_mean`` (means) and of ``logits_var`` (variances);
-    ``affine`` adds a per-channel ``gamma`` and ``beta``. Unused ones are ``None``.
+    A source is ``"batch"`` (per-channel moments over (0,2,3) with a running
+    update in train mode, the running estimates as constants in eval mode) or
+    a tuple of axes reduced in both modes. Moments are taken on the input
+    viewed as (B*groups, C/groups, W, H). Two or more sources are blended by
+    the learned softmax of ``logits_mean`` (means) and of ``logits_var``
+    (variances); ``affine`` adds a per-channel ``gamma`` and ``beta``. Unused
+    ones are ``None``.
     """
 
     sources = ()
+    groups = 1
 
     def __init__(self, channels, epsilon, affine, prefix, momentum=0.1):
         super().__init__(channels, epsilon)
@@ -141,20 +131,64 @@ class MomentNorm(NormLayer):
             self.logits_mean = Parameter(np.zeros(len(self.sources)), f"{prefix}.logits_mean")
             self.logits_var = Parameter(np.zeros(len(self.sources)), f"{prefix}.logits_var")
 
+    def _moments(self, xs, source):
+        """(mean, var, centered input, 1/n) of one source; the last two are
+        ``None`` for the running estimates, which are constants."""
+        if source == "batch" and not self.training:
+            run = self.stats
+            return run.mean.reshape(1, -1, 1, 1), run.var.reshape(1, -1, 1, 1), None, None
+        axes = (0, 2, 3) if source == "batch" else source
+        c = np.array(1.0 / np.prod([xs.shape[a] for a in axes]))
+        mean = xs.sum(axes, keepdims=True) * c
+        d = xs - mean
+        var = (d * d).sum(axes, keepdims=True) * c
+        if source == "batch":
+            self.stats.update(mean.reshape(-1), var.reshape(-1))
+        return mean, var, d, c
+
     def __call__(self, x):
         _check_input(x, self.channels)
-        xhat = self.standardized(x)
-        return xhat if self.gamma is None else self.gamma * xhat + self.beta
-
-    def standardized(self, x):
-        stats = [self.stats.batch_stats(x, self.training) if s == "batch" else moments(x, s)
-                 for s in self.sources]
-        means, variances = zip(*stats)
-        mean, var = means[0], variances[0]
+        b, ch, w, h = x.shape
+        xs = x.data.reshape(b * self.groups, ch // self.groups, w, h)
+        stats = [self._moments(xs, s) for s in self.sources]
+        weights = ()
+        mean, var = stats[0][:2]
         if self.logits_mean is not None:
-            mean = _blend(softmax(self.logits_mean, axis=0), means)
-            var = _blend(softmax(self.logits_var, axis=0), variances)
-        return standardize(x, mean, var, self.epsilon)
+            weights = (softmax(self.logits_mean, axis=0), softmax(self.logits_var, axis=0))
+            mean, var = (reduce(operator.add, (wt.data[i] * st[k] for i, st in enumerate(stats)))
+                         for k, wt in enumerate(weights))
+        ve = var + self.epsilon
+        r = ve ** -0.5
+        xm = xs - mean
+        xhat = (xm * r).reshape(x.shape)
+        affine = () if self.gamma is None else (self.gamma, self.beta)
+        out = xhat if not affine else self.gamma.data * xhat + self.beta.data
+
+        def backward(g):
+            # the chain's backward sweep, step for step: affine, standardize,
+            # blend, then each source's variance and mean into the input
+            grads = []
+            if affine:
+                grads = [_unbroadcast(g * xhat, self.gamma.shape), _unbroadcast(g, self.beta.shape)]
+                g = g * self.gamma.data
+            g = g.reshape(xs.shape)
+            gx = g * r
+            g_r = _unbroadcast(g * xm, r.shape)
+            g_stats = [[-_unbroadcast(gx, mean.shape)], [g_r * -0.5 * ve ** -1.5]]
+            for k, wt in enumerate(weights):
+                g_stats[k], gw = _blend_backward(g_stats[k][0], wt.data, [st[k] for st in stats])
+                grads.insert(k, gw)
+            for (m, v, d, c), gm, gv in zip(stats, *g_stats):
+                if d is None:
+                    continue
+                t = np.broadcast_to(_unbroadcast(gv * c, v.shape), d.shape) * d
+                tt = t + t
+                gx = gx + tt
+                gm = gm - _unbroadcast(tt, m.shape)
+                gx = gx + np.broadcast_to(_unbroadcast(gm * c, m.shape), xs.shape)
+            return (gx.reshape(x.shape), *grads)
+
+        return _from_op(out, (x, *weights, *affine), backward)
 
     def params(self):
         return [p for p in (self.logits_mean, self.logits_var, self.gamma, self.beta)
@@ -164,9 +198,20 @@ class MomentNorm(NormLayer):
         return self.stats.buffers(self.prefix) if self.stats else {}
 
 
-def _blend(weights, stats):
-    """``w0*s0 + w1*s1 + ...``, summed left to right."""
-    return reduce(add, (take(weights, i) * s for i, s in enumerate(stats)))
+def _blend_backward(g, weights, stats):
+    """Gradients of ``w0*s0 + w1*s1 + ...`` (added left to right) for each
+    statistic and for the weights, one unbroadcast per add as the sweep
+    makes them."""
+    shapes = list(accumulate((s.shape for s in stats), np.broadcast_shapes))
+    g_terms = []
+    for j in range(len(stats) - 1, 0, -1):
+        g_terms.append(_unbroadcast(g, stats[j].shape))
+        g = _unbroadcast(g, shapes[j - 1])
+    g_terms = [g] + g_terms[::-1]
+    onehot = np.arange(len(stats))
+    gw = reduce(operator.add, (np.where(onehot == i, _unbroadcast(gt * s, ()), 0.0)
+                               for i, (gt, s) in enumerate(zip(g_terms, stats))))
+    return [gt * weights[i] for i, gt in enumerate(g_terms)], gw
 
 
 class BatchNorm(MomentNorm):
@@ -204,11 +249,6 @@ class GroupNorm(MomentNorm):
             raise InvalidConfig(f"groups {groups} must divide channels {channels}")
         super().__init__(channels, epsilon, affine, prefix)
         self.groups = groups
-
-    def standardized(self, x):
-        b, c, w, h = x.shape
-        xr = reshape(x, (b * self.groups, c // self.groups, w, h))
-        return reshape(super().standardized(xr), (b, c, w, h))
 
 
 class BlendedSpatialNorm(MomentNorm):

@@ -332,14 +332,6 @@ def mean_(a, axes=None, keepdims=False):
     return mul(sum_(a, axes, keepdims), 1.0 / n)
 
 
-def moments(a, axes):
-    """Mean and biased variance over ``axes``, reduced axes kept at extent 1."""
-    a = _coerce(a)
-    mean = mean_(a, axes, keepdims=True)
-    diff = sub(a, mean)
-    return mean, mean_(mul(diff, diff), axes, keepdims=True)
-
-
 def reshape(a, shape):
     a = _coerce(a)
     shape = tuple(shape)
@@ -433,26 +425,31 @@ def conv2d(x, kernel, stride=1, padding=0):
         xp = x.data
     taps = {(i, j): np.s_[:, :, i:i + stride * wo:stride, j:j + stride * ho:stride]
             for i in range(k) for j in range(k)}
-
-    def im2col():  # (Cin*k*k, B*Wo*Ho); backward rebuilds it so the closure holds only xp
-        if k == 1:  # a 1x1 conv's columns are its (strided) input, channels first
-            return xp[taps[0, 0]].transpose(1, 0, 2, 3).reshape(ci, -1)
+    if k == 1:  # a 1x1 conv's columns are its (strided) input, channels first
+        cols = xp[taps[0, 0]].transpose(1, 0, 2, 3).reshape(ci, -1)
+    else:  # (Cin*k*k, B*Wo*Ho)
         cols = np.empty((ci, k, k, b, wo, ho))
         for (i, j), tap in taps.items():
             cols[:, i, j] = xp[tap].transpose(1, 0, 2, 3)
-        return cols.reshape(ci * k * k, -1)
+        cols = cols.reshape(ci * k * k, -1)
 
     # im2col GEMM (Chellapilla et al. 2006) on einsum's own matmul operands: bitwise equal
-    out = (kernel.data.reshape(co, -1) @ im2col()).reshape(co, b, wo, ho).transpose(1, 0, 2, 3)
+    out = (kernel.data.reshape(co, -1) @ cols).reshape(co, b, wo, ho).transpose(1, 0, 2, 3)
+    # only the kernel gradient reads the columns; without grad mode no closure is kept at all
+    cols = cols if kernel.requires_grad else None
+    padded = xp.shape
 
     def backward(g):
-        gk = (im2col() @ g.transpose(0, 2, 3, 1).reshape(-1, co)).reshape(ci, k, k, co)
+        gk = None
+        if cols is not None:
+            gk = (cols @ g.transpose(0, 2, 3, 1).reshape(-1, co)).reshape(ci, k, k, co)
+            gk = gk.transpose(3, 0, 1, 2)
         if not x.requires_grad:  # e.g. the classifier's first conv, on frozen features
-            return None, gk.transpose(3, 0, 1, 2)
-        gt, gxp = g.transpose(1, 0, 2, 3).reshape(co, -1), np.zeros(xp.shape)
+            return None, gk
+        gt, gxp = g.transpose(1, 0, 2, 3).reshape(co, -1), np.zeros(padded)
         for (i, j), tap in taps.items():
             gxp[tap] += (kernel.data[:, :, i, j].T @ gt).reshape(ci, b, wo, ho).transpose(1, 0, 2, 3)
-        return gxp[:, :, padding:padding + w, padding:padding + h], gk.transpose(3, 0, 1, 2)
+        return gxp[:, :, padding:padding + w, padding:padding + h], gk
 
     return _from_op(out, (x, kernel), backward)
 

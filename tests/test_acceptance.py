@@ -36,6 +36,7 @@ from streamcl.norms import (
 from streamcl.streams import compute_metrics, generate_stream
 from streamcl.tensor import Parameter, Tensor
 from streamcl.trainer import Trainer, run_experiment
+from test_tensor import moments
 
 
 def _report(n, text):
@@ -118,7 +119,7 @@ class TestCriterion1Gradients:
             y = T.bilinear_up2x(T.maxpool2x2(y))
             a, b = T.take(y, np.s_[:, :2]), T.take(y, np.s_[:, 2:])
             y = T.concat_channels(a * 0.5, T.exp(b * 0.1))
-            m, v = T.moments(y, axes=(0, 2, 3))
+            m, v = moments(y, axes=(0, 2, 3))
             y = (y - m) * T.power(v + 1e-3, -0.5)
             s = T.log_softmax(y.reshape((2, 64)), axis=1, temperature=2.0)
             return (T.softmax(y.reshape((2, 64)), axis=1) * s).sum() + T.log(

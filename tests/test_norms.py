@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import streamcl.tensor as T
+from streamcl.config import parse_config_text
 from streamcl.norms import (
     BatchNorm,
     BlendedSpatialNorm,
@@ -11,12 +12,15 @@ from streamcl.norms import (
     GroupNorm,
     InstanceNorm,
     LayerNorm,
+    MomentNorm,
     NORM_KINDS,
     SplitParallelNorm,
     SwitchableNorm,
     make_norm,
 )
-from streamcl.tensor import InvalidConfig, OddChannelCount, Tensor
+from streamcl.tensor import InvalidConfig, OddChannelCount, Parameter, Tensor
+from streamcl.trainer import Trainer, state_fingerprint
+from test_tensor import moments
 
 EPS = 1e-5
 
@@ -350,9 +354,20 @@ class TestCrossKindInvariants:
 
 def parent_norm(layer, x):
     """The per-kind formulas the zoo used before ``MomentNorm``, on ``layer``'s
-    own parameters and running statistics: the parity oracle."""
+    own parameters and running statistics, as a chain of tensor ops: the
+    parity oracle."""
     def std(x, mean, var):
         return (x - mean) * T.power(var + layer.epsilon, -0.5)
+
+    def batch_stats(x):
+        """Batch moments and a running update in train mode, the running
+        estimates in eval mode."""
+        if not layer.training:
+            return (Tensor(layer.stats.mean.reshape(1, -1, 1, 1)),
+                    Tensor(layer.stats.var.reshape(1, -1, 1, 1)))
+        mean, var = moments(x, (0, 2, 3))
+        layer.stats.update(mean.data.reshape(-1), var.data.reshape(-1))
+        return mean, var
 
     kind, e = layer.kind, T.take
     if kind == "cn":
@@ -362,28 +377,28 @@ def parent_norm(layer, x):
         a1, a2 = T.take(x, np.s_[:, :h]), T.take(x, np.s_[:, h:])
         return T.concat_channels(parent_norm(layer.bn, a1), parent_norm(layer.inln, a2))
     if kind == "bn":
-        mean, var = layer.stats.batch_stats(x, layer.training)
+        mean, var = batch_stats(x)
         xhat = std(x, mean, var)
     elif kind in ("in", "ln"):
-        mean, var = T.moments(x, (2, 3) if kind == "in" else (1, 2, 3))
+        mean, var = moments(x, (2, 3) if kind == "in" else (1, 2, 3))
         xhat = std(x, mean, var)
     elif kind == "gn":
         b, c, w, h = x.shape
         xr = T.reshape(x, (b * layer.groups, c // layer.groups, w, h))
-        mean, var = T.moments(xr, (1, 2, 3))
+        mean, var = moments(xr, (1, 2, 3))
         xhat = T.reshape(std(xr, mean, var), (b, c, w, h))
     elif kind == "inln":
-        mean_in, var_in = T.moments(x, (2, 3))
-        mean_ln, var_ln = T.moments(x, (1, 2, 3))
+        mean_in, var_in = moments(x, (2, 3))
+        mean_ln, var_ln = moments(x, (1, 2, 3))
         w, wv = T.softmax(layer.logits_mean, axis=0), T.softmax(layer.logits_var, axis=0)
         mean = e(w, 0) * mean_in + e(w, 1) * mean_ln
         var = e(wv, 0) * var_in + e(wv, 1) * var_ln
         xhat = std(x, mean, var)
     else:
         assert kind == "sn"
-        mean_bn, var_bn = layer.stats.batch_stats(x, layer.training)
-        mean_in, var_in = T.moments(x, (2, 3))
-        mean_ln, var_ln = T.moments(x, (1, 2, 3))
+        mean_bn, var_bn = batch_stats(x)
+        mean_in, var_in = moments(x, (2, 3))
+        mean_ln, var_ln = moments(x, (1, 2, 3))
         w, wv = T.softmax(layer.logits_mean, axis=0), T.softmax(layer.logits_var, axis=0)
         mean = e(w, 0) * mean_bn + e(w, 1) * mean_in + e(w, 2) * mean_ln
         var = e(wv, 0) * var_bn + e(wv, 1) * var_in + e(wv, 2) * var_ln
@@ -428,3 +443,80 @@ class TestParentParity:
             bufs, ref_bufs = layer.buffers(), oracle.buffers()
             assert bufs.keys() == ref_bufs.keys()
             assert all(np.array_equal(bufs[k], ref_bufs[k]) for k in bufs), mode
+
+
+TOY_RUN = """
+[stream]
+kind = gaussian_blobs
+tasks = 2
+samples_per_task = 30
+test_samples = 20
+[encoder]
+stage_channels = 4,4,8,8
+[model]
+norm_kind = {kind}
+feature_channels = 4
+[replay]
+capacity = 20
+replay_batch = 8
+[loss]
+n_per_task = 5
+[train]
+batch = 10
+"""
+
+
+def _randomized(kind, rng, channels=4):
+    """A layer of ``kind`` with random blend logits, affine terms and running statistics."""
+    layer = make_norm(kind, channels, groups=2)
+    for p in layer.params():
+        p.data[...] = rng.normal(size=p.shape)
+    for n in (layer, *layer.children()):
+        if getattr(n, "stats", None) is not None:
+            n.stats.mean = rng.normal(size=n.stats.mean.shape)
+            n.stats.var = rng.uniform(0.5, 2.0, size=n.stats.var.shape)
+    return layer
+
+
+class TestFusedNode:
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("kind", NORM_KINDS)
+    def test_finite_differences(self, kind, mode):
+        rng = np.random.default_rng(24)
+        layer = getattr(_randomized(kind, rng), mode)()
+        x = Parameter(rng.normal(size=(3, 4, 3, 3)), "x")
+        r = Tensor(rng.normal(size=x.shape))
+        report = T.finite_difference_check(lambda: (layer(x) * r).sum(), [x, *layer.params()],
+                                           step=1e-6, tol=1e-4)
+        assert report.passed, report
+
+    @pytest.mark.parametrize("kind,nodes", [("bn", 1), ("in", 1), ("ln", 1), ("gn", 1), ("sn", 3),
+                                            ("inln", 3), ("cn", 2), ("spn", 7)])
+    def test_graph_nodes_per_call(self, kind, nodes):
+        # one node per MomentNorm, plus the blend softmaxes and the spn split and concat
+        layer = BlendedSpatialNorm(4) if kind == "inln" else make_norm(kind, 4, groups=2)
+        x = Tensor(np.random.default_rng(25).normal(size=(3, 4, 2, 2)), requires_grad=True)
+        seen, stack = set(), [layer.train()(x)]
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen and node._backward is not None:
+                seen.add(id(node))
+                stack.extend(node._parents)
+        assert len(seen) == nodes
+
+    @pytest.mark.parametrize("kind", NORM_KINDS)
+    def test_whole_run_equals_parent_chain(self, kind, monkeypatch):
+        # running statistics and the SGD trajectory over two tasks, not one call
+        def run():
+            trainer = Trainer(parse_config_text(TOY_RUN.format(kind=kind)), seed=0)
+            state = trainer.build_state()
+            for t in range(state.stream.n_tasks):
+                trainer.train_task(state, t)
+                trainer.end_of_task(state, t + 1)
+                trainer.evaluate(state, t)
+            return state_fingerprint(state), state.matrix.a.tobytes()
+
+        shipped = run()
+        for cls in (MomentNorm, ContinualNorm, SplitParallelNorm):
+            monkeypatch.setattr(cls, "__call__", parent_norm)
+        assert run() == shipped

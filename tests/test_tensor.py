@@ -2,6 +2,8 @@
 
 import inspect
 import sys
+import types
+import weakref
 
 import numpy as np
 import pytest
@@ -241,6 +243,34 @@ class TestConv2dParity:
         out.sum().backward()
         assert x.grad is None and k.grad is not None
 
+    @pytest.mark.parametrize("case", ["trainable", "frozen kernel", "no_grad"])
+    def test_columns_kept_only_for_a_trainable_kernel(self, case, monkeypatch):
+        rng = np.random.default_rng(6)
+        x = Tensor(rng.normal(size=(3, 8, 16, 16)), requires_grad=True)
+        k = Tensor(rng.normal(size=(16, 8, 3, 3)), requires_grad=case != "frozen kernel")
+        made = []  # shape and weak reference of every array conv2d takes from np.empty
+
+        def empty(*args, **kwargs):
+            arr = np.empty(*args, **kwargs)
+            made.append((arr.shape, weakref.ref(arr)))
+            return arr
+
+        view = types.ModuleType("numpy")
+        view.__dict__.update(vars(np))
+        view.empty = empty
+        monkeypatch.setattr(T, "np", view)
+        if case == "no_grad":
+            with T.no_grad():
+                out = T.conv2d(x, k, stride=2, padding=1)
+        else:
+            out = T.conv2d(x, k, stride=2, padding=1)
+        monkeypatch.undo()
+        assert [shape for shape, _ in made] == [(8, 3, 3, 3, 8, 8)]  # the im2col columns
+        assert (made[0][1]() is not None) == (case == "trainable"), case
+        if case == "frozen kernel":
+            out.sum().backward()
+            assert x.grad is not None and k.grad is None
+
     def test_strided_padded_input_gradient(self):
         rng = np.random.default_rng(5)
         x = Parameter(rng.normal(size=(2, 3, 8, 8)), "x")
@@ -279,20 +309,29 @@ class TestResample:
         np.testing.assert_allclose(out.data, upsample_loop(x), atol=1e-12)
 
 
+def moments(a, axes):
+    """Mean and biased variance over ``axes``, reduced axes kept at extent 1,
+    as the chain of ``mean_``, ``sub`` and ``mul`` the normalization layers
+    replay."""
+    mean = T.mean_(a, axes, keepdims=True)
+    diff = T.sub(a, mean)
+    return mean, T.mean_(T.mul(diff, diff), axes, keepdims=True)
+
+
 class TestMoments:
     def test_hand_case(self):
-        mean, var = T.moments(Tensor([1.0, 3.0, 5.0, 7.0]), axes=(0,))
+        mean, var = moments(Tensor([1.0, 3.0, 5.0, 7.0]), axes=(0,))
         assert mean.item() == pytest.approx(4.0)
         assert var.item() == pytest.approx(5.0)  # (9+1+1+9)/4
 
     def test_constant_zero_var(self):
-        _, var = T.moments(Tensor(np.full((2, 3), 2.5)), axes=(0, 1))
+        _, var = moments(Tensor(np.full((2, 3), 2.5)), axes=(0, 1))
         assert var.item() == 0.0
 
     def test_per_channel_matches_loop(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(2, 2, 1, 1))
-        mean, var = T.moments(Tensor(x), axes=(0, 2, 3))
+        mean, var = moments(Tensor(x), axes=(0, 2, 3))
         for c in range(2):
             vals = [x[b, c, 0, 0] for b in range(2)]
             m = sum(vals) / 2
@@ -304,14 +343,14 @@ class TestMoments:
         rng = np.random.default_rng(17)
         for _ in range(10):
             x = Tensor(rng.normal(size=(3, 4, 2, 2)))
-            mean, var = T.moments(x, axes=(0, 2, 3))
+            mean, var = moments(x, axes=(0, 2, 3))
             assert np.all(var.data >= 0)
             centered = (x - mean).mean(axes=(0, 2, 3), keepdims=True)
             assert np.max(np.abs(centered.data)) <= 1e-12
 
     def test_empty_axes(self):
         with pytest.raises(InvalidConfig):
-            T.moments(Tensor([1.0]), axes=())
+            moments(Tensor([1.0]), axes=())
 
 
 def split(x):
@@ -545,7 +584,7 @@ def every_op_objective(seed):
         y = T.bilinear_up2x(y)
         a, b = split(y)
         y = T.concat_channels(a * 0.5, b + 1.0)
-        m, var = T.moments(y, axes=(0, 2, 3))
+        m, var = moments(y, axes=(0, 2, 3))
         y = (y - m) * T.power(var + 1e-3, -0.5)
         s = T.softmax(y.reshape((2, 64)), axis=1, temperature=2.0)
         ls = T.log_softmax(y.reshape((2, 64)), axis=1)
