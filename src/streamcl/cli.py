@@ -3,8 +3,7 @@
 Three commands: ``run`` executes the configured experiment over one or
 more seeds and writes a result bundle; ``ablate`` sweeps one config key
 over a list of values and tabulates ACC/FM/LA per value; ``check`` runs
-the invariant suite. Seeds may execute in parallel worker threads, capped
-by the MUFAN_THREADS environment variable (default 1).
+the invariant suite.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ import shutil
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -32,14 +30,6 @@ METRIC_NAMES = ("acc", "fm", "la")
 
 def _load_config(path, overrides=None):
     return parse_config(path, overrides) if path else parse_config_text("", overrides)
-
-
-def _thread_cap():
-    raw = os.environ.get("MUFAN_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"MUFAN_THREADS must be an integer, got {raw!r}")
 
 
 def _pin_malloc_thresholds():
@@ -64,11 +54,7 @@ def _pin_malloc_thresholds():
 
 def _run_seeds(cfg, seeds):
     _pin_malloc_thresholds()
-    workers = min(_thread_cap(), len(seeds))
-    if workers == 1:
-        return [run_experiment(cfg, s) for s in seeds]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda s: run_experiment(cfg, s), seeds))
+    return [run_experiment(cfg, s) for s in seeds]
 
 
 _BUNDLE_FILES = ("matrix_*.csv", "metrics.txt", "manifest.txt", "ablation.csv")

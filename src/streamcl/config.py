@@ -294,6 +294,10 @@ def validate(cfg):
     _require(l.samples_per_class >= 1, "loss.samples_per_class", "must be >= 1")
     _require(l.embedding in ("logits", "penultimate"), "loss.embedding",
              "logits or penultimate")
+    _require(l.embedding == "logits" or e.aggregate_mode == "top_down", "loss.embedding",
+             "penultimate needs encoder.aggregate_mode = top_down: a head-only classifier's "
+             "penultimate rows are the frozen features, so structure-wise distillation "
+             "would have no gradient")
 
     _require(r.policy in ("ring", "reservoir"), "replay.policy", "ring or reservoir")
     _require(r.capacity >= 1, "replay.capacity", "must be >= 1")

@@ -8,7 +8,6 @@ the recorded rules in reverse topological order.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,24 +41,20 @@ class NondeterministicFunction(RuntimeError):
     """Two forward evaluations of the same function disagreed."""
 
 
-# Per-thread so parallel experiment seeds cannot clobber each other's mode.
-_grad_state = threading.local()
-
-
-def _grad_enabled():
-    return getattr(_grad_state, "enabled", True)
+_grad_enabled = True  # False inside ``no_grad``
 
 
 class no_grad:
-    """Context manager that suppresses graph recording (thread-local)."""
+    """Context manager that suppresses graph recording."""
 
     def __enter__(self):
-        self._prev = _grad_enabled()
-        _grad_state.enabled = False
+        global _grad_enabled
+        self._prev, _grad_enabled = _grad_enabled, False
         return self
 
     def __exit__(self, *exc):
-        _grad_state.enabled = self._prev
+        global _grad_enabled
+        _grad_enabled = self._prev
         return False
 
 
@@ -199,7 +194,7 @@ def _coerce(x):
 
 def _from_op(data, parents, backward):
     out = Tensor(data)
-    if _grad_enabled() and any(p.requires_grad for p in parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward

@@ -17,6 +17,7 @@ from __future__ import annotations
 import contextlib
 import copy
 import hashlib
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -196,6 +197,10 @@ class Classifier:
 
 @dataclass
 class ExperimentState:
+    """Everything one seeded run holds. ``memo`` (training rows, at most
+    MEMO_ROWS entries) and ``test_features`` (each task's test set) are exact
+    caches of the frozen encoder; no output depends on them."""
+
     cfg: object
     stream: object
     encoder: object
@@ -215,8 +220,7 @@ class ExperimentState:
 
 
 ENCODE_BLOCK = 32  # rows per encoder call; larger blocks only grow the im2col buffers
-MEMO_ROWS = 512  # slab rows of the train-side feature memo
-FINGERPRINT_WORDS = 128  # a candidate slot is found from these words; a hit needs all
+MEMO_ROWS = 512  # entries of the train-side feature memo
 
 
 def feature_shape(cfg):
@@ -262,66 +266,37 @@ def _encode(state, xs, indices):
 
 
 class FeatureMemo:
-    """Exact memo of training-row features: a preallocated slab of ``rows``
-    (input, feature) entries, overwritten in ring order.
-
-    A row hits when a slot holds its sample index and its input bytes; a
-    per-row fingerprint only picks the candidate slot. The index is part of
-    the key because a stored pyramid serves features by index, whatever the
-    input holds.
+    """Exact memo of training-row features: an insertion-ordered dict from
+    (sample index, input row bytes) to that row's own feature copy, holding
+    at most ``rows`` entries. A miss is inserted, a hit keeps its place, and
+    past ``rows`` entries the oldest insertion is dropped. The index is part
+    of the key because a stored pyramid serves features by index, whatever
+    the input holds.
     """
 
-    def __init__(self, rows, input_shape, feature_shape):
-        self.xs = np.empty((rows, int(np.prod(input_shape))), dtype=np.uint64)
-        self.feats = np.empty((rows,) + tuple(feature_shape))
-        self.keys = np.zeros(rows, dtype=np.uint64)
-        self.indices = np.full(rows, -1, dtype=np.int64)  # -1 marks an empty slot
-        self.next = 0
-        # the fingerprint sums the sample index and the middle FINGERPRINT_WORDS
-        # 8-byte words of a row, each times an odd multiplier (wrapping mod 2**64)
-        width = min(FINGERPRINT_WORDS, self.xs.shape[1])
-        start = (self.xs.shape[1] - width) // 2
-        self.probe = slice(start, start + width)
-        self.weights = np.random.default_rng(0).integers(0, 2**63, width + 1, dtype=np.uint64) * 2 + 1
+    def __init__(self, rows):
+        self.rows = rows
+        self.entries = OrderedDict()
 
     def features(self, xs, indices, encode):
         """Features of the float rows ``xs``; ``encode(xs, indices)`` runs once
-        on the rows the slab lacks, each distinct row once."""
-        n, indices = len(xs), np.asarray(indices, dtype=np.int64)
-        words = np.ascontiguousarray(xs, dtype=np.float64).reshape(n, self.xs.shape[1])
-        words = words.view(np.uint64)
-        keys = ((words[:, self.probe] * self.weights[:-1]).sum(axis=1)
-                + indices.view(np.uint64) * self.weights[-1])
-        order = np.argsort(self.keys)
-        slot = order[np.searchsorted(self.keys, keys, sorter=order).clip(max=len(order) - 1)]
-        hit = (self.keys[slot] == keys) & (self.indices[slot] == indices)
-        cand = np.flatnonzero(hit)
-        hit[cand] = (self.xs[slot[cand]] == words[cand]).all(axis=1)
-        miss = np.flatnonzero(~hit)
-        # a row repeated within the call takes the features of its first copy
-        _, first, inverse = np.unique(keys[miss], return_index=True, return_inverse=True)
-        rep = miss[first][inverse]
-        dup = np.flatnonzero(rep != miss)
-        other = dup[(words[miss[dup]] != words[rep[dup]]).any(axis=1)
-                    | (indices[miss[dup]] != indices[rep[dup]])]  # fingerprint collisions
-        rep[other] = miss[other]
-        new = miss[rep == miss]
-        if len(new) == n:  # all rows new and distinct: nothing to gather
-            out = encode(xs, indices)
-        else:
-            out = np.empty((n,) + self.feats.shape[1:])
-            out[hit] = self.feats[slot[hit]]  # copied out before misses overwrite slots
-            if new.size:
-                out[new] = encode(xs[new], indices[new])
-            out[miss] = out[rep]
-        cap = len(self.keys)
-        for part in np.split(new[-cap:], [cap - self.next]):  # up to the ring's end, then from 0
-            ring = slice(self.next, self.next + len(part))
-            np.take(words, part, axis=0, out=self.xs[ring], mode="clip")
-            np.take(out, part, axis=0, out=self.feats[ring], mode="clip")
-            self.keys[ring], self.indices[ring] = keys[part], indices[part]
-            self.next = ring.stop % cap
-        return out
+        on the rows the memo lacks, each distinct row once: a row repeated
+        within the call takes the features of its first copy."""
+        keys = [(i, x.tobytes()) for i, x in zip(indices.tolist(), xs)]
+        found = [self.entries.get(k) for k in keys]
+        first = {}  # each missing key -> the row of its first copy
+        for r, (k, f) in enumerate(zip(keys, found)):
+            if f is None:
+                first.setdefault(k, r)
+        if first:
+            rows = list(first.values())
+            fresh = dict(zip(first, encode(xs[rows], indices[rows])))
+            for k, f in fresh.items():
+                self.entries[k] = f.copy()  # a view would keep the whole encode block alive
+                if len(self.entries) > self.rows:
+                    self.entries.popitem(last=False)
+            found = [fresh[k] if f is None else f for k, f in zip(keys, found)]
+        return np.stack(found)
 
 
 def _features(state, xs, indices):
@@ -386,8 +361,7 @@ class Trainer:
             matrix=AccuracyMatrix(stream.n_tasks), heads=heads,
             rngs={"buffer": np.random.default_rng(ss_buffer),
                   "augment": np.random.default_rng(ss_augment)},
-            memo=FeatureMemo(MEMO_ROWS, (cfg.stream.channels, cfg.stream.dims, cfg.stream.dims),
-                             feature_shape(cfg)))
+            memo=FeatureMemo(MEMO_ROWS))
 
     # training -----------------------------------------------------------
 

@@ -193,6 +193,22 @@ class TestParsing:
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("error: loss.n_per_task")
 
+    @pytest.mark.parametrize("mode", ["standard", "bottom_up"])
+    def test_penultimate_embedding_needs_top_down(self, tmp_path, capsys, mode):
+        # a head-only classifier's penultimate rows are the frozen features
+        text = TINY_FILE.replace("distill_variant = none", "distill_variant = csd\n"
+                                 "embedding = penultimate")
+        parse_config_text(text)  # top-down, the default, accepts it
+        text = text.replace("[encoder]", f"[encoder]\naggregate_mode = {mode}")
+        with pytest.raises(InvalidValue) as err:
+            parse_config_text(text)
+        assert err.value.path == "loss.embedding"
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(text)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: loss.embedding")
+        assert not out.exists()
 
     def test_negative_seeds_rejected(self, tmp_path, capsys):
         with pytest.raises(InvalidValue) as err:
@@ -354,17 +370,6 @@ class TestCmdRun:
         main(["run", "--config", str(cfg_path), "--out", str(out2)])
         for name in ("matrix_3.csv", "metrics.txt"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-
-    def test_thread_cap_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("MUFAN_THREADS", "2")
-        cfg_path = tmp_path / "exp.cfg"
-        cfg_path.write_text(TINY_FILE)
-        out = tmp_path / "out"
-        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
-        single = tmp_path / "single"
-        monkeypatch.setenv("MUFAN_THREADS", "1")
-        assert main(["run", "--config", str(cfg_path), "--out", str(single)]) == 0
-        assert (out / "metrics.txt").read_bytes() == (single / "metrics.txt").read_bytes()
 
     def test_reservoir_tuple_shortfall_completes(self, tmp_path, monkeypatch):
         # a reservoir keeps no fixed share per task, so a stored task can hold

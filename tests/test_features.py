@@ -11,7 +11,14 @@ import streamcl.trainer as trainer_module
 from streamcl.config import parse_config_text
 from streamcl.encoder import AGGREGATE_MODES, StoredPyramidEncoder
 from streamcl.tensor import Tensor
-from streamcl.trainer import FeatureMemo, Trainer, _encode, _features, feature_shape
+from streamcl.trainer import (
+    FeatureMemo,
+    Trainer,
+    _encode,
+    _features,
+    feature_shape,
+    state_fingerprint,
+)
 
 TINY = """
 [stream]
@@ -84,19 +91,26 @@ CALLS = st.lists(
     min_size=1, max_size=8)
 
 
+def keys_of(xs, idx):
+    return [(int(i), x.tobytes()) for i, x in zip(idx, xs)]
+
+
 class TestMemo:
     @settings(max_examples=30, deadline=None)
     @given(calls=CALLS)
     def test_every_result_equals_a_fresh_encode(self, calls):
-        # a slab of 8 rows, so that calls of up to 12 rows evict inside a call;
-        # an aliased row has another sample index with the same input bytes
+        # a memo of 8 entries, so that calls of up to 12 rows evict inside a call;
+        # an aliased row has another sample index with the same input bytes.
+        # ``held`` is a reference FIFO of the last 8 distinct keys inserted: a hit
+        # keeps its place, so each call must encode exactly the first copies of
+        # the distinct keys it lacks, in one call
         state = state_for()
-        state.memo = FeatureMemo(8, (1, 32, 32), feature_shape(state.cfg))
+        state.memo = FeatureMemo(8)
         views = variants(np.random.default_rng(1).normal(size=(6, 1, 32, 32)))
-        encoded = []
+        encoded, held = [], []
 
         def encode(xs, idx):
-            encoded.append(len(xs))
+            encoded.append(keys_of(xs, idx))
             return _encode(state, xs, idx)
 
         for call in calls:
@@ -105,8 +119,9 @@ class TestMemo:
             before = len(encoded)
             got = state.memo.features(xs, idx, encode)
             assert np.array_equal(bits(got), bits(_encode(state, xs, idx)))
-            distinct = len({(int(i), x.tobytes()) for i, x in zip(idx, xs)})
-            assert sum(encoded[before:]) <= distinct and len(encoded) - before <= 1
+            missing = list(dict.fromkeys(k for k in keys_of(xs, idx) if k not in held))
+            assert encoded[before:] == ([missing] if missing else [])
+            held = (held + missing)[-8:]
 
     def test_repeats_encode_nothing(self, monkeypatch):
         state, rows = state_for(), []
@@ -139,6 +154,40 @@ class TestMemo:
         assert np.array_equal(bits(h1), bits(_encode(state, xs, np.array([1]))))
         both = _features(state, np.zeros((2, 1, 32, 32)), np.array([1, 0]))
         assert np.array_equal(bits(both), bits(np.concatenate([h1, h0])))
+
+
+def run_bytes(cfg):
+    """Matrix CSV bytes and state fingerprint of a full seed-0 run."""
+    trainer = Trainer(cfg, seed=0)
+    state = trainer.build_state()
+    for t in range(state.stream.n_tasks):
+        trainer.train_task(state, t)
+        trainer.end_of_task(state, t + 1)
+        trainer.evaluate(state, t)
+    return "\n".join(state.matrix.csv_lines()).encode(), state_fingerprint(state)
+
+
+class TestWholeRun:
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"loss.distill_variant": "tf", "loss.new_task_classes": "2", "replay.policy": "reservoir"},
+    ], ids=["csd", "tf"])
+    def test_memo_changes_no_byte(self, overrides, monkeypatch):
+        # against the same run with every training row encoded afresh
+        cfg = parse_config_text(TINY, overrides)
+        rows, encode = [], trainer_module._encode
+
+        def counted(state, xs, indices):
+            rows.append(len(xs))
+            return encode(state, xs, indices)
+
+        monkeypatch.setattr(trainer_module, "_encode", counted)
+        memo = run_bytes(cfg)
+        memo_rows = sum(rows)
+        del rows[:]
+        monkeypatch.setattr(trainer_module, "_features", counted)
+        assert run_bytes(cfg) == memo
+        assert memo_rows < sum(rows)  # the memo did serve some rows
 
 
 class TestTestFeatureCache:
