@@ -26,6 +26,8 @@ from .tensor import InvalidConfig
 from .trainer import Diverged, run_experiment
 
 METRIC_NAMES = ("acc", "fm", "la")
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+               "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
 
 def _load_config(path, overrides=None):
@@ -120,6 +122,22 @@ def _metrics_record(results):
     return "\n".join(lines) + "\n"
 
 
+def _environment_record():
+    """numpy and its BLAS, the BLAS thread variables and, on Linux, the peak
+    resident set of the process so far (every earlier run of it included)."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    lines = [f"numpy = {np.__version__}",
+             f"blas = {blas.get('name', '?')} {blas.get('version', '?')}"]
+    lines += [f"{name} = {os.environ.get(name, 'unset')}" for name in THREAD_VARS]
+    if sys.platform.startswith("linux"):
+        import resource
+
+        peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        lines += ["# peak_rss_mb: the process's peak so far (ru_maxrss)",
+                  f"peak_rss_mb = {peak_kib / 1024:.1f}"]
+    return "\n".join(lines) + "\n"
+
+
 def write_bundle(outdir, cfg, results, wall_time):
     for r in results:
         with open(os.path.join(outdir, f"matrix_{r.seed}.csv"), "w", encoding="ascii") as fh:
@@ -130,6 +148,8 @@ def write_bundle(outdir, cfg, results, wall_time):
         fh.write(f"version = {__version__}\n")
         fh.write(f"seeds = {','.join(str(r.seed) for r in results)}\n")
         fh.write(f"wall_time_s = {wall_time:.3f}\n")
+        fh.write(f"seed_wall_s = {','.join(f'{r.seed_wall_s:.3f}' for r in results)}\n")
+        fh.write(_environment_record())
         fh.write("\n# config echo\n")
         fh.write(serialize(cfg))
 

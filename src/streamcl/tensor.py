@@ -131,11 +131,16 @@ class Tensor:
         return reshape(self, shape)
 
     def backward(self):
-        """Reverse sweep from a scalar; gradients accumulate into ``.grad``.
+        """Reverse sweep from a scalar; gradients accumulate into the ``.grad``
+        of leaves only.
 
-        Each call propagates exactly this sweep's contribution, so separate
-        losses backward-ed one after another sum their gradients even when
-        they share subgraphs.
+        A leaf is a node without a backward rule: a :class:`Parameter` or a
+        ``Tensor(..., requires_grad=True)``. Interior nodes keep
+        ``.grad is None``; their sums live in the sweep only until they are
+        propagated. Each call propagates exactly this sweep's contribution,
+        so separate losses backward-ed one after another sum their
+        gradients even when they share subgraphs: a second sweep through a
+        shared interior node adds only its own contribution to the leaves.
         """
         if self.data.size != 1:
             self._not_scalar()
@@ -161,8 +166,8 @@ class Tensor:
             g = sweep.pop(id(node), None)
             if g is None:
                 continue
-            node.grad = g if node.grad is None else node.grad + g
             if node._backward is None:
+                node.grad = g if node.grad is None else node.grad + g
                 continue
             for p, pg in zip(node._parents, node._backward(g)):
                 if pg is None or not p.requires_grad:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import contextlib
 import copy
 import hashlib
+import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -389,22 +390,7 @@ class Trainer:
                     if state.teacher is not None and cfg.loss.lambda_dctn > 0:
                         teacher_logits = state.teacher.logits_np(h_rep)
                     rep = (h_rep, rbatch, teacher_logits)
-                cur_tasks = np.full(len(batch.ys), task_id)
-                rep_logits = rep_ys = teacher_logits = rep_tasks = None
-                if rep is not None:
-                    h_rep, rbatch, teacher_logits = rep
-                    rep_logits = state.classifier.forward(Tensor(h_rep))
-                    rep_ys, rep_tasks = rbatch.ys, rbatch.task_ids
-                loss, _parts = total_objective(
-                    state.classifier.forward(Tensor(h_cur)), batch.ys,
-                    rep_logits, rep_ys, teacher_logits, state.tuple_set,
-                    state.classifier.embed, loss_cfg=cfg.loss,
-                    ce_fn=lambda lo, ys: _head_ce(lo, ys, cur_tasks, state.heads),
-                    replay_ce_fn=lambda lo, ys: _head_ce(lo, ys, rep_tasks, state.heads))
-                state.optimizer.zero_grad()
-                loss.backward()
-                state.optimizer.step()
-                state.losses_seen.append(loss.item())
+                state.losses_seen.append(self._update(state, h_cur, batch, task_id, rep))
                 _check_finite(state.optimizer.params, task_id, b + 1, len(state.losses_seen))
             if cfg.replay.enabled:
                 for i in range(len(batch.ys)):
@@ -416,6 +402,29 @@ class Trainer:
                 if task_free:
                     self._maybe_pseudo_boundary(state)
         return state
+
+    def _update(self, state, h_cur, batch, task_id, rep):
+        """One SGD step on the composed objective of the stream batch, whose
+        features are ``h_cur``, and, given ``rep = (h_rep, rbatch,
+        teacher_logits)``, the replay batch. Returns the loss value: the
+        step's graph is unreachable once this returns, so it is freed before
+        the next update encodes anything."""
+        cur_tasks = np.full(len(batch.ys), task_id)
+        rep_logits = rep_ys = teacher_logits = rep_tasks = None
+        if rep is not None:
+            h_rep, rbatch, teacher_logits = rep
+            rep_logits = state.classifier.forward(Tensor(h_rep))
+            rep_ys, rep_tasks = rbatch.ys, rbatch.task_ids
+        loss, _parts = total_objective(
+            state.classifier.forward(Tensor(h_cur)), batch.ys,
+            rep_logits, rep_ys, teacher_logits, state.tuple_set,
+            state.classifier.embed, loss_cfg=self.cfg.loss,
+            ce_fn=lambda lo, ys: _head_ce(lo, ys, cur_tasks, state.heads),
+            replay_ce_fn=lambda lo, ys: _head_ce(lo, ys, rep_tasks, state.heads))
+        state.optimizer.zero_grad()
+        loss.backward()
+        state.optimizer.step()
+        return loss.item()
 
     def end_of_task(self, state, finished_task_id):
         """Snapshot and (for the task-aware variants) select fresh tuples."""
@@ -504,10 +513,12 @@ class ExperimentResult:
     seed: int
     matrix: AccuracyMatrix
     metrics: dict
+    seed_wall_s: float  # wall time of the run, set-up included
 
 
 def run_experiment(cfg, seed):
     """Full seeded run: train every task, evaluate after each, score."""
+    start = time.perf_counter()
     trainer = Trainer(cfg, seed)
     state = trainer.build_state()
     kernels_before = state.encoder.kernel_bytes()
@@ -517,7 +528,8 @@ def run_experiment(cfg, seed):
         trainer.evaluate(state, t)
     assert state.encoder.kernel_bytes() == kernels_before, "encoder drifted"
     acc, fm, la = compute_metrics(state.matrix)
-    return ExperimentResult(seed, state.matrix, {"acc": acc, "fm": fm, "la": la})
+    return ExperimentResult(seed, state.matrix, {"acc": acc, "fm": fm, "la": la},
+                            time.perf_counter() - start)
 
 
 def state_fingerprint(state):

@@ -4,6 +4,7 @@ import dataclasses
 import os
 import re
 import stat
+import sys
 import types
 from pathlib import Path
 
@@ -254,6 +255,26 @@ class TestCmdRun:
         per_seed = [float(metrics["acc_seed0"]), float(metrics["acc_seed1"])]
         assert float(metrics["acc_mean"]) == pytest.approx(np.mean(per_seed), abs=1e-6)
         assert "acc_std" in metrics
+
+    def test_manifest_environment_and_memory(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(TINY_FILE)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        head = (out / "manifest.txt").read_text().split("\n# config echo\n")[0]
+        record = dict(line.split(" = ") for line in head.splitlines()
+                      if not line.startswith("#"))
+        assert record["numpy"] == np.__version__
+        assert re.fullmatch(r"\S+ \d+(\.\d+)*", record["blas"]), record["blas"]
+        assert record["OPENBLAS_NUM_THREADS"] == "1"
+        assert record["MKL_NUM_THREADS"] == "unset"
+        assert set(cli.THREAD_VARS) <= set(record)
+        walls = [float(s) for s in record["seed_wall_s"].split(",")]
+        assert len(walls) == 2 and all(0 < w <= float(record["wall_time_s"]) for w in walls)
+        if sys.platform.startswith("linux"):
+            assert 10 < float(record["peak_rss_mb"]) < 100_000
 
     def test_aggregate_mean_matches_matrix_files(self, tmp_path):
         cfg_path = tmp_path / "exp.cfg"

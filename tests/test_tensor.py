@@ -566,6 +566,58 @@ class TestBackward:
         np.testing.assert_array_equal(a.grad, [2.0, 4.0])
         np.testing.assert_array_equal(b.grad, [2.0])
 
+    @staticmethod
+    def graph_nodes(loss):
+        seen, stack = {id(loss): loss}, [loss]
+        while stack:
+            for p in stack.pop()._parents:
+                if id(p) not in seen:
+                    seen[id(p)] = p
+                    stack.append(p)
+        return list(seen.values())
+
+    @staticmethod
+    def every_node_sweep(loss):
+        """Gradient of ``loss`` at every graph node, interior ones included,
+        by the sweep that once stored them all: same visiting order, same
+        order of summed contributions."""
+        topo, visited, stack = [], set(), [(loss, False)]
+        while stack:
+            node, done = stack.pop()
+            if done:
+                topo.append(node)
+                continue
+            if id(node) in visited:
+                continue
+            visited.add(id(node))
+            stack.append((node, True))
+            stack.extend((p, False) for p in node._parents
+                         if p.requires_grad and id(p) not in visited)
+        grads = {id(loss): np.ones_like(loss.data)}
+        for node in reversed(topo):
+            g = grads.get(id(node))
+            if g is None or node._backward is None:
+                continue
+            for p, pg in zip(node._parents, node._backward(g)):
+                if pg is not None and p.requires_grad:
+                    grads[id(p)] = pg if id(p) not in grads else grads[id(p)] + pg
+        return grads
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_only_leaves_keep_a_grad(self, seed):
+        f, params = every_op_objective(seed)
+        loss = f()
+        nodes = self.graph_nodes(loss)
+        reference = self.every_node_sweep(f())
+        loss.backward()
+        interior = [n for n in nodes if n._backward is not None]
+        assert len(interior) > 50
+        assert all(n.grad is None for n in interior)
+        leaves = {id(n) for n in nodes if n._backward is None and n.grad is not None}
+        assert leaves == {id(p) for p in params}
+        for p in params:
+            assert p.grad.tobytes() == reference[id(p)].tobytes(), p.name
+
 
 def every_op_objective(seed):
     """The per-op sweep's objective and its parameters."""

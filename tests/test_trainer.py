@@ -1,5 +1,7 @@
 """Trainer harness: loop bookkeeping, snapshots, evaluation purity, determinism."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,30 @@ class TestTrainTask:
             if rises > 2:
                 failures.append((seed, rises, vals))
         assert not failures, failures
+
+
+class TestOneUpdateGraph:
+    @pytest.mark.parametrize("loss, replay", [
+        ("distill_variant = csd", ""),
+        ("distill_variant = tf\nnew_task_classes = 2\nsamples_per_class = 2",
+         "policy = reservoir"),
+    ], ids=["csd", "tf"])
+    def test_no_graph_is_alive_at_an_encode(self, monkeypatch, loss, replay):
+        # each update's graph is freed on its return, before the next one
+        # encodes its replay batch, the next stream batch or a snapshot
+        alive = []
+        real_features = trainer_module._features
+
+        def scanned(state, xs, indices):
+            alive.append(sum(1 for o in gc.get_objects()
+                             if isinstance(o, Tensor) and o._backward is not None))
+            return real_features(state, xs, indices)
+
+        monkeypatch.setattr(trainer_module, "_features", scanned)
+        gc.collect()  # graphs that earlier tests left in cycles
+        run_experiment(tiny_cfg(loss=loss, replay=replay), seed=0)
+        assert len(alive) > 20
+        assert max(alive) == 0
 
 
 class TestEndOfTask:
