@@ -267,6 +267,8 @@ def validate(cfg):
     _require(e.aggregate_mode in AGGREGATE_MODES, "encoder.aggregate_mode",
              f"one of {AGGREGATE_MODES}")
     _require(e.aggregate_channels >= 0, "encoder.aggregate_channels", "must be >= 0")
+    _require(e.aggregate_channels == 0 or e.aggregate_mode == "top_down",
+             "encoder.aggregate_channels", "only top_down aggregation projects its output")
     _require(not (e.pyramid_file and s.augment != "none"), "encoder.pyramid_file",
              "stored pyramids cannot be re-augmented; set stream.augment = none")
 

@@ -14,6 +14,8 @@ externally computed features can be injected without code changes.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 
 import numpy as np
@@ -167,6 +169,7 @@ def save_pyramid_file(path, levels):
 
 def load_pyramid_file(path):
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         head = fh.read(16)
         if len(head) != 16 or head[:4] != _MAGIC:
             raise InvalidConfig(f"{path}: not a pyramid container")
@@ -179,11 +182,15 @@ def load_pyramid_file(path):
             if len(dims_raw) != 16:
                 raise InvalidConfig(f"{path}: truncated level header")
             dims = struct.unpack("<IIII", dims_raw)
-            n = int(np.prod(dims))
-            buf = fh.read(8 * n)
-            if len(buf) != 8 * n:
-                raise InvalidConfig(f"{path}: truncated level data")
-            levels.append(np.frombuffer(buf, dtype="<f8").reshape(dims).copy())
+            nbytes = 8 * math.prod(dims)  # Python ints: np.prod of four u32s wraps in int64
+            left = size - fh.tell()
+            if nbytes > left:
+                raise InvalidConfig(f"{path}: level {len(levels) + 1} of shape {dims} needs "
+                                    f"{nbytes} bytes, the file holds {left} more")
+            level = np.frombuffer(fh.read(nbytes), dtype="<f8").reshape(dims).copy()
+            if not np.isfinite(level).all():
+                raise InvalidConfig(f"{path}: level {len(levels) + 1} holds non-finite values")
+            levels.append(level)
     return levels
 
 

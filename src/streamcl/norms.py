@@ -40,15 +40,12 @@ NORM_KINDS = ("bn", "in", "ln", "gn", "sn", "cn", "spn")
 class RunningStats:
     """Per-channel running mean/variance with momentum-weighted updates."""
 
-    def __init__(self, channels, momentum=0.1, epsilon=1e-5):
+    def __init__(self, channels, momentum=0.1):
         if not 0.0 < momentum < 1.0:
             raise InvalidConfig(f"momentum must be in (0,1), got {momentum}")
-        if epsilon <= 0.0:
-            raise InvalidConfig("epsilon must be positive")
         self.mean = np.zeros(channels)
         self.var = np.ones(channels)
         self.momentum = momentum
-        self.epsilon = epsilon
 
     def update(self, batch_mean, batch_var):
         m = self.momentum
@@ -72,6 +69,8 @@ class NormLayer:
     kind = "?"
 
     def __init__(self, channels, epsilon):
+        if not epsilon > 0.0:
+            raise InvalidConfig(f"epsilon must be positive, got {epsilon}")
         self.channels = channels
         self.epsilon = epsilon
         self.training = True
@@ -126,7 +125,7 @@ class MomentNorm(NormLayer):
         if affine:
             self.gamma = Parameter(np.ones((1, channels, 1, 1)), f"{prefix}.gamma")
             self.beta = Parameter(np.zeros((1, channels, 1, 1)), f"{prefix}.beta")
-        self.stats = RunningStats(channels, momentum, epsilon) if "batch" in self.sources else None
+        self.stats = RunningStats(channels, momentum) if "batch" in self.sources else None
         if len(self.sources) > 1:
             self.logits_mean = Parameter(np.zeros(len(self.sources)), f"{prefix}.logits_mean")
             self.logits_var = Parameter(np.zeros(len(self.sources)), f"{prefix}.logits_var")

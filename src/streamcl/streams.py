@@ -165,6 +165,8 @@ def _load_tiny_images(n_tasks, classes_per_task, samples_per_task, test_samples,
     labels = _read(lbl_path, lambda fh: np.array([int(tok) for tok in fh.read().split()]))
     if images.ndim != 4 or images.shape[0] != labels.size:
         raise InvalidConfig("images.npy must be (N,C,W,H) matching labels.txt")
+    if not np.isfinite(images).all():
+        raise InvalidConfig(f"{img_path} holds non-finite values")
     if images.shape[1] != channels or images.shape[2] != dims or images.shape[3] != dims:
         raise InvalidConfig(
             f"images are {images.shape[1:]}, config wants ({channels},{dims},{dims})")

@@ -96,9 +96,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(self, other)
-
     def __sub__(self, other):
         return sub(self, other)
 
@@ -108,24 +105,8 @@ class Tensor:
     def __mul__(self, other):
         return mul(self, other)
 
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __pow__(self, p):
-        return power(self, p)
-
-    def __truediv__(self, other):
-        other = _coerce(other)
-        return mul(self, power(other, -1.0))
-
     def sum(self, axes=None, keepdims=False):
         return sum_(self, axes, keepdims)
-
-    def mean(self, axes=None, keepdims=False):
-        return mean_(self, axes, keepdims)
 
     def reshape(self, shape):
         return reshape(self, shape)
@@ -258,28 +239,10 @@ def mul(a, b):
     return _from_op(a.data * b.data, (a, b), backward)
 
 
-def neg(a):
-    a = _coerce(a)
-    return _from_op(-a.data, (a,), lambda g: (-g,))
-
-
 def relu(a):
     a = _coerce(a)
     mask = a.data > 0
     return _from_op(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,))
-
-
-def exp(a):
-    a = _coerce(a)
-    out = np.exp(a.data)
-    return _from_op(out, (a,), lambda g: (g * out,))
-
-
-def log(a):
-    a = _coerce(a)
-    if np.any(a.data <= 0):
-        raise DomainError("log requires strictly positive inputs")
-    return _from_op(np.log(a.data), (a,), lambda g: (g / a.data,))
 
 
 def power(a, p):
@@ -323,13 +286,6 @@ def sum_(a, axes=None, keepdims=False):
         return (np.broadcast_to(gg, a.data.shape),)
 
     return _from_op(out, (a,), backward)
-
-
-def mean_(a, axes=None, keepdims=False):
-    a = _coerce(a)
-    ax = _norm_axes(axes, a.ndim) if a.ndim else ()
-    n = int(np.prod([a.shape[i] for i in ax])) if ax else 1
-    return mul(sum_(a, axes, keepdims), 1.0 / n)
 
 
 def reshape(a, shape):

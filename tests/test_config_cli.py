@@ -4,6 +4,7 @@ import dataclasses
 import os
 import re
 import stat
+import struct
 import sys
 import types
 from pathlib import Path
@@ -211,6 +212,23 @@ class TestParsing:
         assert capsys.readouterr().err.startswith("error: loss.embedding")
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode", ["standard", "bottom_up"])
+    def test_aggregate_channels_needs_top_down(self, tmp_path, capsys, mode):
+        # only top-down aggregation ends in the extra projection
+        text = TINY_FILE.replace("[encoder]", "[encoder]\naggregate_channels = 12")
+        parse_config_text(text)  # top-down, the default, accepts it
+        text = text.replace("[encoder]", f"[encoder]\naggregate_mode = {mode}")
+        parse_config_text(text.replace("aggregate_channels = 12", "aggregate_channels = 0"))
+        with pytest.raises(InvalidValue) as err:
+            parse_config_text(text)
+        assert err.value.path == "encoder.aggregate_channels"
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(text)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: encoder.aggregate_channels")
+        assert not out.exists()
+
     def test_negative_seeds_rejected(self, tmp_path, capsys):
         with pytest.raises(InvalidValue) as err:
             parse_config_text("[train]\nseeds = -3\n")
@@ -302,7 +320,9 @@ class TestCmdRun:
         ("labels.txt", lambda bad: bad.write_text(bad.read_text() + " x")),
         ("images.npy", lambda bad: np.save(bad, np.array([{}] * 100), allow_pickle=True)),
         ("images.npy", lambda bad: _npz_archive(bad.with_suffix(".npz")).replace(bad)),
-    ], ids=["label_token", "pickled", "npz"])
+        ("images.npy", lambda bad: np.save(bad, np.where(np.arange(100).reshape(-1, 1, 1, 1) % 2,
+                                                         np.nan, np.load(bad)))),
+    ], ids=["label_token", "pickled", "npz", "non_finite"])
     def test_unreadable_tiny_images_file_exits_2(self, tmp_path, capsys, name, spoil):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(_tiny_images_dir(tmp_path / "data", np.arange(4)))
@@ -453,6 +473,29 @@ class TestCmdRun:
         empty.mkdir()
         assert main(["run", "--config", str(cfg_path), "--out", str(empty)]) == 2
         assert os.listdir(empty) == []
+
+    @pytest.mark.parametrize("case, reason", [
+        ("overflow", f"needs {8 * 2**124} bytes"),  # the u32 dims' product wraps to 0 in int64
+        ("overlong", "needs 8192000 bytes, the file holds"),
+        ("non_finite", "level 1 holds non-finite values"),
+    ], ids=["overflow", "overlong", "non_finite"])
+    def test_unusable_pyramid_file_exits_2(self, tmp_path, capsys, case, reason):
+        levels = [np.zeros((100, c, w, w)) for c, w in ((4, 16), (4, 8), (8, 4), (8, 2))]
+        if case == "non_finite":
+            levels[0][::2] = np.nan
+        pyramid = tmp_path / "pyr.bin"
+        save_pyramid_file(pyramid, levels)
+        dims = {"overflow": (2**31,) * 4, "overlong": (1000, 4, 16, 16)}.get(case)
+        if dims:  # rewrite the first level's header
+            data = pyramid.read_bytes()
+            pyramid.write_bytes(data[:16] + struct.pack("<IIII", *dims) + data[32:])
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(TINY_FILE.replace("[stream]\n", "[stream]\naugment = none\n")
+                            .replace("[encoder]\n", f"[encoder]\npyramid_file = {pyramid}\n"))
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {pyramid}: ") and reason in err
+        assert sorted(os.listdir(tmp_path)) == ["exp.cfg", "pyr.bin"]  # no output directory left
 
 
     def test_seed_override_flag(self, tmp_path):

@@ -323,6 +323,15 @@ class TestCrossKindInvariants:
         layer = make_norm(kind, 4, groups=2)
         assert layer(x).shape == x.shape
 
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0])
+    @pytest.mark.parametrize("kind", NORM_KINDS + ("inln",))
+    def test_epsilon_must_be_positive(self, kind, epsilon):
+        with pytest.raises(InvalidConfig, match="epsilon"):
+            if kind == "inln":
+                BlendedSpatialNorm(4, epsilon=epsilon)
+            else:
+                make_norm(kind, 4, epsilon=epsilon)
+
     @pytest.mark.parametrize("kind,axes", [("bn", (0, 2, 3)), ("in", (2, 3)), ("ln", (1, 2, 3))])
     def test_pre_affine_moments(self, kind, axes):
         rng = np.random.default_rng(20)
