@@ -30,8 +30,13 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
 
-def _load_config(path, overrides=None):
-    return parse_config(path, overrides) if path else parse_config_text("", overrides)
+def _load_config(args, overrides=None):
+    """``--config`` (the defaults when omitted), then ``overrides``, then ``--seeds``
+    as ``train.seeds``."""
+    overrides = dict(overrides or {})
+    if args.seeds is not None:
+        overrides["train.seeds"] = args.seeds
+    return parse_config(args.config, overrides) if args.config else parse_config_text("", overrides)
 
 
 def _pin_malloc_thresholds():
@@ -54,9 +59,9 @@ def _pin_malloc_thresholds():
     mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
 
 
-def _run_seeds(cfg, seeds):
+def _run_seeds(cfg):
     _pin_malloc_thresholds()
-    return [run_experiment(cfg, s) for s in seeds]
+    return [run_experiment(cfg, s) for s in cfg.train.seeds]
 
 
 _BUNDLE_FILES = ("matrix_*.csv", "metrics.txt", "manifest.txt", "ablation.csv")
@@ -109,16 +114,24 @@ def _staged_outdir(outdir, force):
         raise
 
 
+def _summary(results):
+    """Each metric's (mean, ddof=1 std) over the seeds; the std is None for one seed."""
+    out = {}
+    for name in METRIC_NAMES:
+        vals = np.array([r.metrics[name] for r in results])
+        out[name] = (vals.mean(), vals.std(ddof=1) if len(vals) >= 2 else None)
+    return out
+
+
 def _metrics_record(results):
     lines = [f"seeds = {','.join(str(r.seed) for r in results)}"]
     for r in results:
         for name in METRIC_NAMES:
             lines.append(f"{name}_seed{r.seed} = {r.metrics[name]:.6f}")
-    for name in METRIC_NAMES:
-        vals = np.array([r.metrics[name] for r in results])
-        lines.append(f"{name}_mean = {vals.mean():.6f}")
-        if len(vals) >= 2:
-            lines.append(f"{name}_std = {vals.std(ddof=1):.6f}")
+    for name, (mean, std) in _summary(results).items():
+        lines.append(f"{name}_mean = {mean:.6f}")
+        if std is not None:
+            lines.append(f"{name}_std = {std:.6f}")
     return "\n".join(lines) + "\n"
 
 
@@ -156,17 +169,16 @@ def write_bundle(outdir, cfg, results, wall_time):
 
 def cmd_run(args):
     start = time.time()
-    cfg = _load_config(args.config)
-    seeds = _parse_seeds(args.seeds) if args.seeds else cfg.train.seeds
+    cfg = _load_config(args)
     outdir = args.out or cfg.output.directory
     with _staged_outdir(outdir, args.force) as stage:
-        results = _run_seeds(cfg, seeds)
+        results = _run_seeds(cfg)
         write_bundle(stage, cfg, results, time.time() - start)
     for r in results:
         print(f"seed {r.seed}: acc={r.metrics['acc']:.4f} fm={r.metrics['fm']:+.4f} "
               f"la={r.metrics['la']:.4f}")
     accs = [r.metrics["acc"] for r in results]
-    print(f"wrote {outdir} (acc mean {np.mean(accs):.4f} over {len(seeds)} seed(s))")
+    print(f"wrote {outdir} (acc mean {np.mean(accs):.4f} over {len(results)} seed(s))")
     return 0
 
 
@@ -180,36 +192,28 @@ def cmd_ablate(args):
             same = ", ".join(repr(v) for v, d in zip(values, subdirs) if d == subdir)
             raise ConfigError(f"--values {same}: each value needs a sub-directory of its own, "
                               f"not {subdir!r}")
-    seeds = _parse_seeds(args.seeds) if args.seeds else None
-    base = _load_config(args.config)
-    cfgs = [_load_config(args.config, {args.axis: value}) for value in values]
+    base = _load_config(args)
+    cfgs = [_load_config(args, {args.axis: value}) for value in values]
     outdir = args.out or base.output.directory
     rows = []
     with _staged_outdir(outdir, args.force) as stage:
         for value, subdir, cfg in zip(values, subdirs, cfgs):
             start = time.time()
-            results = _run_seeds(cfg, seeds or cfg.train.seeds)
+            results = _run_seeds(cfg)
             sub = os.path.join(stage, subdir)
             os.makedirs(sub, exist_ok=True)
             write_bundle(sub, cfg, results, time.time() - start)
-            row = {"value": value}
-            for name in METRIC_NAMES:
-                vals = np.array([r.metrics[name] for r in results])
-                row[f"{name}_mean"] = vals.mean()
-                row[f"{name}_std"] = vals.std(ddof=1) if len(vals) >= 2 else float("nan")
-            rows.append(row)
+            rows.append((value, _summary(results)))
         with open(os.path.join(stage, "ablation.csv"), "w", encoding="ascii") as fh:
             fh.write("value,acc_mean,acc_std,fm_mean,fm_std,la_mean,la_std\n")
-            for row in rows:
-                cells = [row["value"]]
-                for name in METRIC_NAMES:
-                    cells.append(f"{row[f'{name}_mean']:.6f}")
-                    std = row[f"{name}_std"]
-                    cells.append("" if np.isnan(std) else f"{std:.6f}")
+            for value, summary in rows:
+                cells = [value]
+                for mean, std in summary.values():
+                    cells += [f"{mean:.6f}", "" if std is None else f"{std:.6f}"]
                 fh.write(",".join(cells) + "\n")
-    for row in rows:
-        print(f"{args.axis}={row['value']}: acc={row['acc_mean']:.4f} "
-              f"fm={row['fm_mean']:+.4f} la={row['la_mean']:.4f}")
+    for value, summary in rows:
+        print(f"{args.axis}={value}: acc={summary['acc'][0]:.4f} "
+              f"fm={summary['fm'][0]:+.4f} la={summary['la'][0]:.4f}")
     print(f"wrote {os.path.join(outdir, 'ablation.csv')}")
     return 0
 
@@ -221,20 +225,6 @@ def cmd_check(args):
         print(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
         failed += 0 if passed else 1
     return 1 if failed else 0
-
-
-def _parse_seeds(raw):
-    try:
-        seeds = tuple(int(s) for s in raw.split(",") if s.strip())
-    except ValueError:
-        raise ConfigError(f"--seeds must be comma-separated integers, got {raw!r}")
-    if not seeds:
-        raise ConfigError("--seeds must list at least one seed")
-    if min(seeds) < 0:
-        raise ConfigError(f"--seeds must be non-negative, got {raw!r}")
-    if len(set(seeds)) != len(seeds):
-        raise ConfigError(f"--seeds must be unique, got {raw!r}")
-    return seeds
 
 
 def build_parser():

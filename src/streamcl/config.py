@@ -7,9 +7,10 @@ Config files are flat sections of ``key = value`` lines::
     lr = 0.03
     seeds = 0,1,2,3,4
 
-Unknown sections or keys are hard errors (ablation axes address keys by
-path, so typos must be loud). Values are typed from the defaults: ints,
-floats, booleans (``true``/``false``), strings, and comma-separated lists.
+Unknown sections or keys, and a key set twice, are hard errors (ablation
+axes address keys by path, so typos must be loud). Values are typed from
+the defaults: ints, floats, booleans (``true``/``false``), strings, and
+comma-separated lists.
 An empty file yields the default configuration.
 """
 
@@ -199,12 +200,17 @@ def apply_override(cfg, path, raw):
 def parse_config_text(text, overrides=None):
     cfg = ExperimentConfig()
     sections = cfg.sections()
+    set_on = {}  # key path -> the line that set it
     for line_no, section_name, key, value in _read_pairs(text):
         if section_name not in sections:
             raise UnknownKey(section_name)
         if key is None:
             continue
-        apply_override(cfg, f"{section_name}.{key}", value)
+        path = f"{section_name}.{key}"
+        if path in set_on:
+            raise InvalidValue(path, f"set twice, on lines {set_on[path]} and {line_no}")
+        set_on[path] = line_no
+        apply_override(cfg, path, value)
     for path, raw in (overrides or {}).items():
         apply_override(cfg, path, raw)
     validate(cfg)

@@ -115,7 +115,8 @@ def potential_matrix(anchors, tuples, metric, tau):
 
 
 def structurewise_pairs(variant, t):
-    """(anchor task, tuple task) index pairs for current task ``t`` (1-based)."""
+    """(anchor task, tuple task) index pairs for current task ``t`` (1-based).
+    The task-free variant takes the csd pairs at ``t = u // S + 1``."""
     if variant == "csd":
         return [(j - 1, j) for j in range(2, t)]
     if variant == "fsd":
@@ -123,17 +124,6 @@ def structurewise_pairs(variant, t):
     if variant == "lsd":
         return [(t - 1, j) for j in range(2, t - 1)]
     raise InvalidConfig(f"no static pair rule for variant {variant!r}")
-
-
-def tf_pair_indices(unique_classes, new_task_threshold):
-    """Tuple-side pseudo-task indices for the task-free loss.
-
-    The outer summation runs j = 2 .. u // S, each j pairing pseudo-task
-    j-1 anchors with pseudo-task j tuples.
-    """
-    if new_task_threshold < 1:
-        raise InvalidConfig("new-task threshold must be positive")
-    return list(range(2, unique_classes // new_task_threshold + 1))
 
 
 @dataclass

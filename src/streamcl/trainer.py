@@ -29,7 +29,6 @@ from .losses import (
     DistillTupleSet,
     build_tuple_set,
     structurewise_pairs,
-    tf_pair_indices,
     total_objective,
 )
 from .memory import (
@@ -443,16 +442,14 @@ class Trainer:
     def _maybe_pseudo_boundary(self, state):
         """Task-free boundary (called only with replay and the tf variant)."""
         cfg = self.cfg
-        u = len(state.buffer.unique_labels())
-        level = u // cfg.loss.new_task_classes
+        level = len(state.buffer.unique_labels()) // cfg.loss.new_task_classes
         if level <= state.pseudo_level:
             return
         state.pseudo_level = level
         anchors, tuples = select_pseudo_task_tuples(
             state.buffer, state.class_order, cfg.loss.new_task_classes,
             cfg.loss.n_per_task, cfg.loss.samples_per_class, state.rngs["buffer"])
-        pairs = [(j - 1, j) for j in tf_pair_indices(u, cfg.loss.new_task_classes)]
-        self._snapshot(state, pairs, anchors, tuples)
+        self._snapshot(state, structurewise_pairs("csd", level + 1), anchors, tuples)
 
     def _snapshot(self, state, pairs=None, anchors=None, tuples=None):
         """Freeze a deep copy of the classifier as the teacher; given ``pairs``, cache
@@ -460,10 +457,10 @@ class Trainer:
         encoded and stacked once.
 
         ``anchors`` and ``tuples`` map a task id to its selected buffer batch; a
-        pair is live when both of its batches hold rows. Going through the live
-        pairs in order, anchor batch before tuple batch, each batch encodes the
-        sample indices not yet stacked in one call and becomes an integer row
-        array into the stack.
+        pair is live when both of its batches hold rows. The stack holds each
+        sample index of the live pairs' batches (anchor batch before tuple
+        batch) in order of first appearance, encoded in one call, and each
+        batch becomes an integer row array into it.
         """
         state.teacher = state.classifier.clone().eval()
         state.tuple_set = None
@@ -471,16 +468,16 @@ class Trainer:
             return state
         live = [(a, z) for a, z in pairs if len(anchors.get(a, ())) and len(tuples.get(z, ()))]
         batches = [b for a, z in live for b in (anchors[a], tuples[z])]
-        stack, blocks = {}, []  # sample index -> its row of the stack
+        stack, xs = {}, []  # sample index -> its row of the stack; the stacked inputs
         for b in batches:
-            fresh = [k for k, i in enumerate(b.indices.tolist()) if i not in stack]
-            for k in fresh:
-                stack[int(b.indices[k])] = len(stack)
-            if fresh:
-                blocks.append(_features(state, b.xs[fresh], b.indices[fresh]))
+            for x, i in zip(b.xs, b.indices.tolist()):
+                if i not in stack:
+                    stack[i] = len(stack)
+                    xs.append(x)
         rows = [np.array([stack[i] for i in b.indices.tolist()]) for b in batches]
         state.tuple_set = build_tuple_set(
-            self.cfg.loss.potential_metric, np.concatenate(blocks) if blocks else None,
+            self.cfg.loss.potential_metric,
+            _features(state, np.stack(xs), np.array(list(stack))) if stack else None,
             [(a, z, ra, rz) for (a, z), ra, rz in zip(live, rows[::2], rows[1::2])],
             state.teacher.embed, self.cfg.loss.tau_teacher)
         return state

@@ -20,7 +20,6 @@ from streamcl.losses import (
     potential_matrix,
     structurewise_distill,
     structurewise_pairs,
-    tf_pair_indices,
     total_objective,
 )
 from streamcl.memory import ReservoirBuffer, RingBuffer
@@ -188,7 +187,7 @@ class TestCriterion3Stationarity:
                 w = Parameter(rng.normal(size=(6, 4)), "w")
                 w0 = w.data.copy()
                 if variant == "tf":
-                    pairs = [(j - 1, j) for j in tf_pair_indices(23, 5)]
+                    pairs = structurewise_pairs("csd", 23 // 5 + 1)
                 else:
                     pairs = structurewise_pairs(variant, 5)
                 assert pairs, (variant, "needs live pairs")
@@ -247,7 +246,7 @@ class TestCriterion4Potentials:
                  (30, 10, [2, 3]), (7, 3, [2]), (12, 3, [2, 3, 4])]
         assert len(cases) == 20
         for u, s, expected in cases:
-            assert tf_pair_indices(u, s) == expected, (u, s)
+            assert [z for _, z in structurewise_pairs("csd", u // s + 1)] == expected, (u, s)
         _report(4, "probability sums, scale invariance, empty t=2 sum, 20 floor-division cases")
 
 

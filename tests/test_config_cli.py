@@ -113,7 +113,8 @@ class TestParsing:
             with pytest.raises(InvalidValue) as err:
                 parse_config_text(f"[{section}]\n{key} = {raw}\n")
             assert err.value.path == path
-            cfg_path.write_text(TINY_FILE + f"[{section}]\n{key} = {raw}\n")
+            text = re.sub(rf"^{key} = .*\n", "", TINY_FILE, flags=re.M)  # set the key once
+            cfg_path.write_text(text + f"[{section}]\n{key} = {raw}\n")
             assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
             assert capsys.readouterr().err == (
                 f"error: {path}: must be a finite number, got {raw!r}\n")
@@ -122,6 +123,19 @@ class TestParsing:
                          f"--values={raw}", "--out", str(out)]) == 2
             assert capsys.readouterr().err.startswith(f"error: {path}: must be a finite number")
             assert sorted(os.listdir(tmp_path)) == ["exp.cfg"]  # nothing created
+
+    def test_key_set_twice_rejected(self, tmp_path, capsys):
+        with pytest.raises(InvalidValue) as err:
+            parse_config_text("[train]\nlr = 0.1\n[model]\n[train]\nlr = 0.2\n")
+        assert err.value.path == "train.lr"
+        assert str(err.value) == "train.lr: set twice, on lines 2 and 5"
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(TINY_FILE + "[replay]\ncapacity = 20\n")
+        for command in (["run"], ["ablate", "--axis", "model.norm_kind", "--values", "bn"]):
+            assert main(command + ["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+            assert capsys.readouterr().err == (
+                "error: replay.capacity: set twice, on lines 12 and 22\n")
+        assert sorted(os.listdir(tmp_path)) == ["exp.cfg"]  # nothing created
 
     def test_round_trip(self):
         cfg = parse_config_text(TINY_FILE)
@@ -242,7 +256,7 @@ class TestParsing:
         assert main(["run", "--config", str(cfg_path), "--out", str(out), "--seeds", "-1"]) == 2
         assert main(["ablate", "--config", str(cfg_path), "--axis", "model.norm_kind",
                      "--values", "bn", "--seeds", "0,-1", "--out", str(out)]) == 2
-        assert "--seeds must be non-negative" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: train.seeds: seeds must be non-negative\n" * 2
         assert not out.exists()
 
 
@@ -505,6 +519,18 @@ class TestCmdRun:
         main(["run", "--config", str(cfg_path), "--out", str(out), "--seeds", "7"])
         assert sorted(f for f in os.listdir(out) if f.startswith("matrix")) == ["matrix_7.csv"]
 
+    def test_manifest_echoes_the_seeds_that_ran(self, tmp_path):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(TINY_FILE)  # seeds = 0,1
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "run"),
+                     "--seeds", "3"]) == 0
+        assert main(["ablate", "--config", str(cfg_path), "--axis", "model.norm_kind",
+                     "--values", "bn", "--out", str(tmp_path / "ab"), "--seeds", "3"]) == 0
+        for manifest in (tmp_path / "run" / "manifest.txt", tmp_path / "ab" / "bn" / "manifest.txt"):
+            head, echo = manifest.read_text().split("\n# config echo\n")
+            assert "\nseeds = 3\n" in head
+            assert parse_config_text(echo).train.seeds == (3,)
+
     @pytest.mark.parametrize("command", [
         ["run"], ["ablate", "--axis", "model.norm_kind", "--values", "bn"]], ids=["run", "ablate"])
     def test_duplicate_seeds_rejected(self, tmp_path, capsys, command):
@@ -512,7 +538,7 @@ class TestCmdRun:
         cfg_path.write_text(TINY_FILE)
         out = tmp_path / "out"
         assert main(command + ["--config", str(cfg_path), "--out", str(out), "--seeds", "0,0"]) == 2
-        assert capsys.readouterr().err == "error: --seeds must be unique, got '0,0'\n"
+        assert capsys.readouterr().err == "error: train.seeds: seeds must be unique\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", [
@@ -559,9 +585,9 @@ class TestCmdAblate:
         clock = [1000.0]
         run_seeds = cli._run_seeds
 
-        def five_second_run(cfg, seeds):
+        def five_second_run(cfg):
             clock[0] += 5.0
-            return run_seeds(cfg, seeds)
+            return run_seeds(cfg)
 
         monkeypatch.setattr(cli, "time", types.SimpleNamespace(time=lambda: clock[0]))
         monkeypatch.setattr(cli, "_run_seeds", five_second_run)
@@ -599,7 +625,7 @@ class TestCmdAblate:
 
     def test_every_value_is_validated_before_the_first_run(self, tmp_path, capsys, monkeypatch):
         calls = []
-        monkeypatch.setattr(cli, "_run_seeds", lambda cfg, seeds: calls.append(seeds) or [])
+        monkeypatch.setattr(cli, "_run_seeds", lambda cfg: calls.append(cfg) or [])
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(TINY_FILE.replace("seeds = 0,1", "seeds = 0"))
         out = tmp_path / "ab"

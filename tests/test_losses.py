@@ -17,7 +17,6 @@ from streamcl.losses import (
     score_matrix,
     structurewise_distill,
     structurewise_pairs,
-    tf_pair_indices,
     total_objective,
 )
 from streamcl.tensor import Parameter, Tensor
@@ -215,10 +214,14 @@ class TestPairRules:
         assert structurewise_pairs("lsd", 5) == [(4, 2), (4, 3)]
 
     def test_tf_floor_division(self):
-        assert tf_pair_indices(23, 10) == [2]
-        assert tf_pair_indices(9, 5) == []
-        assert tf_pair_indices(10, 5) == [2]
-        assert tf_pair_indices(47, 5) == list(range(2, 10))
+        # a task-free boundary at u classes and threshold S takes the csd pairs at u // S + 1
+        def tuple_tasks(u, s):
+            return [z for _, z in structurewise_pairs("csd", u // s + 1)]
+
+        assert tuple_tasks(23, 10) == [2]
+        assert tuple_tasks(9, 5) == []
+        assert tuple_tasks(10, 5) == [2]
+        assert tuple_tasks(47, 5) == list(range(2, 10))
 
 
 def _linear_setup(seed, n_tasks=3, n=4, dim=5, k=4):
@@ -307,7 +310,7 @@ class TestStructurewise:
     def test_stacked_matches_per_pair_reference(self, variant, metric):
         anchors, tuples, w, teacher, student = _linear_setup(5, n_tasks=5)
         if variant == "tf":
-            pairs = [(j - 1, j) for j in tf_pair_indices(23, 5)]
+            pairs = structurewise_pairs("csd", 23 // 5 + 1)
         else:
             pairs = structurewise_pairs(variant, 5)
             tuples = anchors  # the task-aware variants pass one map for both sides

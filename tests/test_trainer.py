@@ -245,14 +245,15 @@ class TestEndOfTask:
          "policy = reservoir"),
     ], ids=["csd", "lsd", "tf"])
     def test_boundaries_encode_only_the_stacked_rows(self, monkeypatch, loss, replay):
-        # a boundary encodes exactly the rows its tuple set stacks: none for
-        # selected tasks that no live pair names, and each sample index once
-        encoded, distinct = [0], [0]
+        # a boundary encodes exactly the rows its tuple set stacks, in one call:
+        # none for selected tasks that no live pair names, and each sample index once
+        encoded, calls, distinct = [0], [0], [0]
         real_features = trainer_module._features
         real_snapshot = Trainer._snapshot
 
         def counting(state, xs, indices):
             encoded[0] += len(xs)
+            calls[0] += 1
             return real_features(state, xs, indices)
 
         def snapshot(self, state, pairs=None, anchors=None, tuples=None):
@@ -276,12 +277,12 @@ class TestEndOfTask:
 
         def at_boundary(real):
             def hook(self, state, *args):
-                encoded[0], distinct[0], before = 0, 0, state.tuple_set
+                encoded[0], calls[0], distinct[0], before = 0, 0, 0, state.tuple_set
                 out = real(self, state, *args)
                 tset = state.tuple_set
                 if tset is not before or encoded[0]:
                     stacked = 0 if tset is None or tset.features is None else len(tset.features)
-                    seen.append((encoded[0], stacked, distinct[0]))
+                    seen.append((encoded[0], stacked, distinct[0], calls[0]))
                 return out
             return hook
 
@@ -292,8 +293,9 @@ class TestEndOfTask:
         cfg = tiny_cfg(replay=replay, loss=loss)
         cfg.stream.tasks = 4
         run_experiment(cfg, seed=1)
-        assert len(seen) >= 3 and any(stacked for _, stacked, _ in seen)
-        assert all(enc == stacked == n for enc, stacked, n in seen), seen
+        assert len(seen) >= 3 and any(stacked for _, stacked, _, _ in seen)
+        assert all(enc == stacked == n for enc, stacked, n, _ in seen), seen
+        assert all(c == (1 if stacked else 0) for _, stacked, _, c in seen), seen
 
 
 class TestEvaluate:
