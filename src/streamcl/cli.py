@@ -183,6 +183,8 @@ def cmd_run(args):
 
 
 def cmd_ablate(args):
+    if args.axis == "train.seeds" and args.seeds is not None:
+        raise ConfigError("--seeds would override every value of --axis train.seeds")
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("--values must list at least one value")

@@ -77,31 +77,13 @@ class TaskStream:
             yield SampleSet(train.xs[sl], train.ys[sl], train.indices[sl])
 
 
-def _grid(dims):
-    c = np.arange(dims) - (dims - 1) / 2.0
-    return np.meshgrid(c, c, indexing="ij")
-
-
-def _blob_image(rng, dims, channels, center, sigma, weights, noise):
-    u, v = _grid(dims)
-    bump = np.exp(-(((u - center[0]) ** 2) + ((v - center[1]) ** 2)) / (2 * sigma ** 2))
-    img = weights[:, None, None] * bump[None]
-    return img + noise * rng.normal(size=(channels, dims, dims))
-
-
-def _grating_image(rng, dims, channels, freq, theta, noise):
-    u, v = _grid(dims)
-    phase = rng.uniform(0, 2 * np.pi)
-    jitter = rng.normal(scale=np.deg2rad(GRATING_JITTER_DEG))
-    a = theta + jitter
-    wave = np.sin(2 * np.pi * freq * (u * np.cos(a) + v * np.sin(a)) / dims + phase)
-    img = np.repeat(wave[None], channels, axis=0)
-    return img + noise * rng.normal(size=(channels, dims, dims))
-
-
 def generate_stream(kind, n_tasks, classes_per_task, samples_per_task,
                     test_samples, dims, channels, seed, data_dir=None):
-    """Deterministic stream for a seed; class sets are pairwise disjoint."""
+    """Deterministic stream for a seed; class sets are pairwise disjoint.
+
+    Each set is rendered in array passes that draw from ``rng`` in the order
+    of an image-by-image render (per image: grating phase, jitter, noise).
+    """
     if kind not in STREAM_KINDS:
         raise InvalidConfig(f"unknown stream kind {kind!r}")
     if dims % 16:
@@ -113,20 +95,37 @@ def generate_stream(kind, n_tasks, classes_per_task, samples_per_task,
                                  test_samples, dims, channels, seed, data_dir)
     rng = np.random.default_rng(seed)
     total_classes = n_tasks * classes_per_task
+    axis = np.arange(dims) - (dims - 1) / 2.0
+    u, v = np.meshgrid(axis, axis, indexing="ij")
+    image = (channels, dims, dims)
     if kind == "gaussian_blobs":
         centers = rng.uniform(-dims / 4, dims / 4, size=(total_classes, 2))
         sigmas = rng.uniform(dims / 8, dims / 5, size=total_classes)
         weights = rng.uniform(0.5, 1.5, size=(total_classes, channels))
+        means = np.empty((total_classes,) + image)
+        for c in range(total_classes):
+            bump = np.exp(-(((u - centers[c, 0]) ** 2) + ((v - centers[c, 1]) ** 2))
+                          / (2 * sigmas[c] ** 2))
+            means[c] = weights[c][:, None, None] * bump
 
-        def render(r, c):
-            return _blob_image(r, dims, channels, centers[c], sigmas[c], weights[c], BLOB_NOISE)
+        def render(ys):
+            # one call draws the same normals as one call per image
+            return means[ys] + BLOB_NOISE * rng.normal(size=(len(ys),) + image)
     else:
         freqs = 2.0 + 2.0 * np.arange(classes_per_task)
+        jitter = np.deg2rad(GRATING_JITTER_DEG)
 
-        def render(r, c):
-            task, slot = divmod(c, classes_per_task)
-            theta = task * np.pi / n_tasks
-            return _grating_image(r, dims, channels, freqs[slot], theta, GRATING_NOISE)
+        def render(ys):
+            task, slot = np.divmod(ys[:, None, None], classes_per_task)
+            phase, a = np.empty((2, len(ys), 1, 1))
+            noise = np.empty((len(ys),) + image)
+            for i in range(len(ys)):
+                phase[i] = rng.uniform(0, 2 * np.pi)
+                a[i] = rng.normal(scale=jitter)
+                noise[i] = rng.normal(size=image)
+            a += task * np.pi / n_tasks
+            wave = np.sin(2 * np.pi * freqs[slot] * (u * np.cos(a) + v * np.sin(a)) / dims + phase)
+            return wave[:, None] + GRATING_NOISE * noise
 
     tasks = []
     next_index = 0
@@ -135,10 +134,9 @@ def generate_stream(kind, n_tasks, classes_per_task, samples_per_task,
         sets = []
         for count in (samples_per_task, test_samples):
             ys = rng.integers(0, classes_per_task, size=count) + t * classes_per_task
-            xs = np.stack([render(rng, y) for y in ys])
             idx = np.arange(next_index, next_index + count)
             next_index += count
-            sets.append(SampleSet(xs, ys, idx))
+            sets.append(SampleSet(render(ys), ys, idx))
         tasks.append(Task(t, class_ids, sets[0], sets[1]))
     return TaskStream(kind, tasks, dims, channels)
 

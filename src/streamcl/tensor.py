@@ -242,7 +242,9 @@ def mul(a, b):
 def relu(a):
     a = _coerce(a)
     mask = a.data > 0
-    return _from_op(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,))
+    out = np.fmax(a.data, 0.0)  # NaN -> 0
+    out += 0.0  # -0.0 -> +0.0
+    return _from_op(out, (a,), lambda g: (g * mask,))
 
 
 def power(a, p):

@@ -635,6 +635,18 @@ class TestCmdAblate:
         assert calls == []
         assert not out.exists()
 
+    def test_seeds_axis_refuses_seeds_flag(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "_run_seeds", lambda cfg: calls.append(cfg) or [])
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(TINY_FILE)
+        out = tmp_path / "ab"
+        assert main(["ablate", "--config", str(cfg_path), "--axis", "train.seeds",
+                     "--values", "0,1", "--seeds", "3", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: --seeds would override")
+        assert calls == []
+        assert not out.exists()
+
     def test_unknown_axis_rejected(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(TINY_FILE)

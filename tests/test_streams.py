@@ -10,6 +10,9 @@ from hypothesis import strategies as st
 import streamcl.tensor as T
 from streamcl.encoder import MultiScaleEncoder
 from streamcl.streams import (
+    BLOB_NOISE,
+    GRATING_JITTER_DEG,
+    GRATING_NOISE,
     AccuracyMatrix,
     IncompleteMatrix,
     augment_batch,
@@ -32,6 +35,44 @@ def metrics_loop(a):
         best = max(a[l][j] for l in range(j, t - 1))
         fm += best - a[t - 1][j]
     return acc, fm / (t - 1), la
+
+
+def image_by_image_stream(kind, n_tasks, classes_per_task, samples_per_task, test_samples,
+                          dims, channels, seed):
+    """Reference renderer: one image at a time, each from its own draws, as
+    ``generate_stream`` used to; yields each set's (xs, ys, indices)."""
+    rng = np.random.default_rng(seed)
+    axis = np.arange(dims) - (dims - 1) / 2.0
+    u, v = np.meshgrid(axis, axis, indexing="ij")
+    total_classes = n_tasks * classes_per_task
+    if kind == "gaussian_blobs":
+        centers = rng.uniform(-dims / 4, dims / 4, size=(total_classes, 2))
+        sigmas = rng.uniform(dims / 8, dims / 5, size=total_classes)
+        weights = rng.uniform(0.5, 1.5, size=(total_classes, channels))
+
+        def render(c):
+            bump = np.exp(-(((u - centers[c][0]) ** 2) + ((v - centers[c][1]) ** 2))
+                          / (2 * sigmas[c] ** 2))
+            img = weights[c][:, None, None] * bump[None]
+            return img + BLOB_NOISE * rng.normal(size=(channels, dims, dims))
+    else:
+        freqs = 2.0 + 2.0 * np.arange(classes_per_task)
+
+        def render(c):
+            task, slot = divmod(c, classes_per_task)
+            phase = rng.uniform(0, 2 * np.pi)
+            a = task * np.pi / n_tasks + rng.normal(scale=np.deg2rad(GRATING_JITTER_DEG))
+            wave = np.sin(2 * np.pi * freqs[slot] * (u * np.cos(a) + v * np.sin(a)) / dims
+                          + phase)
+            img = np.repeat(wave[None], channels, axis=0)
+            return img + GRATING_NOISE * rng.normal(size=(channels, dims, dims))
+
+    next_index = 0
+    for t in range(n_tasks):
+        for count in (samples_per_task, test_samples):
+            ys = rng.integers(0, classes_per_task, size=count) + t * classes_per_task
+            yield np.stack([render(y) for y in ys]), ys, np.arange(next_index, next_index + count)
+            next_index += count
 
 
 def small_stream(kind="gaussian_blobs", seed=0, samples=40, test=20):
@@ -60,6 +101,26 @@ class TestGeneration:
         for ta, tb in zip(a.tasks, b.tasks):
             assert ta.train.xs.tobytes() == tb.train.xs.tobytes()
             np.testing.assert_array_equal(ta.train.ys, tb.train.ys)
+
+    @pytest.mark.parametrize("kind", ["gaussian_blobs", "rotated_patterns"])
+    @pytest.mark.parametrize("n_tasks, classes, samples, test, dims, channels, seed", [
+        (2, 2, 5, 7, 16, 1, 0),
+        (3, 3, 40, 9, 32, 3, 1),
+        (10, 2, 12, 5, 48, 2, 7),
+        (2, 2, 500, 100, 32, 1, 0),
+    ])
+    def test_bytes_match_image_by_image_render(self, kind, n_tasks, classes, samples, test,
+                                               dims, channels, seed):
+        args = (kind, n_tasks, classes, samples, test, dims, channels, seed)
+        stream = generate_stream(*args)
+        sets = [s for task in stream.tasks for s in (task.train, task.test)]
+        reference = list(image_by_image_stream(*args))
+        assert len(sets) == len(reference)
+        for got, (xs, ys, indices) in zip(sets, reference):
+            assert got.xs.tobytes() == xs.tobytes()
+            assert got.xs.shape == xs.shape
+            assert got.ys.tobytes() == ys.tobytes()
+            assert got.indices.tobytes() == indices.tobytes()
 
     def test_different_seed_differs(self):
         a, b = small_stream(seed=3), small_stream(seed=4)

@@ -122,6 +122,21 @@ class TestElementwise:
         out = T.relu(Tensor([-1.0, 0.0, 2.0]))
         np.testing.assert_array_equal(out.data, [0.0, 0.0, 2.0])
 
+    @pytest.mark.parametrize("case", ["special", "transposed", "random"])
+    def test_relu_bytes_match_where(self, case):
+        """Same bytes and layout as ``np.where(a > 0, a, 0.0)``, special values included."""
+        tiny = np.finfo(np.float64).smallest_subnormal
+        special = np.array([np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, tiny, -tiny,
+                            np.finfo(np.float64).tiny, np.finfo(np.float64).max, -1.0, 2.5])
+        rng = np.random.default_rng(5)
+        a = {"special": special,
+             "transposed": rng.normal(size=(4, 8, 6, 6)).transpose(1, 0, 3, 2),
+             "random": rng.normal(size=(32, 8, 16, 16))}[case]
+        ref = np.where(a > 0, a, 0.0)
+        out = T.relu(Tensor(a)).data
+        assert out.strides == ref.strides
+        assert out.tobytes() == ref.tobytes()
+
     def test_mul_gradient(self):
         a = Tensor([2.0], requires_grad=True)
         b = Tensor([3.0], requires_grad=True)
