@@ -20,6 +20,7 @@ AUGMENT_OPS = ("crop_pad", "hflip", "resize")
 AUGMENT_APPLY = ("replay_only", "all", "none")
 
 CROP_PAD = 2
+NO_DRAW = (CROP_PAD, CROP_PAD, 0)  # the (ow, oh, flip) draw of a row left as it is
 
 # Generator constants, calibrated so desk-scale tasks are learnable in one
 # pass yet interfere enough across tasks for forgetting to be measurable.
@@ -210,34 +211,37 @@ def _crop_pad(xs, rng):
     for i in range(b):
         ow, oh = offs[i]
         out[i] = padded[i, :, ow:ow + w, oh:oh + h]
-    return out
+    return out, offs
 
 
 def _hflip(xs, rng):
     out = xs.copy()
     flip = rng.random(len(xs)) < 0.5
     out[flip] = out[flip][:, :, ::-1, :]
-    return out
+    return out, flip
 
 
 def augment_batch(xs, ops, apply, rng, is_replay, target_dims=None):
     """Label-preserving augmentation; geometric ops hit replay data only in
-    ``replay_only`` mode, while resize (when requested) applies everywhere."""
+    ``replay_only`` mode, while resize (when requested) applies everywhere.
+    Returns the rows and each row's draw, ``(ow, oh, flip)`` into its
+    zero-padded input (:data:`NO_DRAW` if left as it is), which fixes the row."""
     for op in ops:
         if op not in AUGMENT_OPS:
             raise InvalidConfig(f"unknown augmentation {op!r}")
     if apply not in AUGMENT_APPLY:
         raise InvalidConfig(f"unknown augmentation policy {apply!r}")
     out = np.asarray(xs, dtype=np.float64)
+    draws = np.tile(NO_DRAW, (len(out), 1))
     if "resize" in ops and target_dims and apply != "none":
         out = resize_images(out, target_dims)
     if apply == "none" or (apply == "replay_only" and not is_replay):
-        return out
+        return out, draws
     if "crop_pad" in ops:
-        out = _crop_pad(out, rng)
+        out, draws[:, :2] = _crop_pad(out, rng)
     if "hflip" in ops:
-        out = _hflip(out, rng)
-    return out
+        out, draws[:, 2] = _hflip(out, rng)
+    return out, draws
 
 
 # metrics ---------------------------------------------------------------------

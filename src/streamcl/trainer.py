@@ -39,7 +39,7 @@ from .memory import (
     select_pseudo_task_tuples,
 )
 from .norms import make_norm
-from .streams import AccuracyMatrix, augment_batch, compute_metrics, generate_stream
+from .streams import NO_DRAW, AccuracyMatrix, augment_batch, compute_metrics, generate_stream
 from .tensor import (
     InvalidConfig,
     Parameter,
@@ -197,9 +197,10 @@ class Classifier:
 
 @dataclass
 class ExperimentState:
-    """Everything one seeded run holds. ``memo`` (training rows, at most
-    MEMO_ROWS entries) and ``test_features`` (each task's test set) are exact
-    caches of the frozen encoder; no output depends on them."""
+    """Everything one seeded run holds. ``memo`` (training rows keyed by sample
+    index and augmentation draw, at most MEMO_ROWS entries) and
+    ``test_features`` (each task's test set) are exact caches of the frozen
+    encoder; no output depends on them."""
 
     cfg: object
     stream: object
@@ -219,7 +220,8 @@ class ExperimentState:
     test_features: dict = field(default_factory=dict)  # task index -> its test set's features
 
 
-ENCODE_BLOCK = 32  # rows per encoder call; larger blocks only grow the im2col buffers
+ENCODE_ROWS = 32  # rows per encoder call at most
+ENCODE_BYTES = 256 * 1024  # feature bytes per encoder call; the im2col buffers grow with them
 MEMO_ROWS = 512  # entries of the train-side feature memo
 
 
@@ -244,15 +246,24 @@ def _padded_rows(b, dims):
     return rows
 
 
+def _block_rows(cfg):
+    """Rows per encoder call: as many, from 1 to ENCODE_ROWS, as have
+    ENCODE_BYTES of features, raised to a count that :func:`_padded_rows`
+    leaves unpadded. ENCODE_ROWS itself needs no padding at any dims, so the
+    cap holds."""
+    rows = ENCODE_BYTES // (8 * int(np.prod(feature_shape(cfg))))
+    return _padded_rows(min(max(rows, 1), ENCODE_ROWS), cfg.stream.dims)
+
+
 def _encode(state, xs, indices):
     """Aggregated encoder features as a plain array, bitwise independent of
-    the batch: blocks of at most ENCODE_BLOCK rows, each padded with zero rows
+    the batch: blocks of :func:`_block_rows` rows, each padded with zero rows
     (sample index 0) to :func:`_padded_rows`, and the padding dropped. The
     encoder is frozen, so nothing upstream ever needs gradients."""
     out = np.empty((len(xs),) + feature_shape(state.cfg))
-    dims = state.cfg.stream.dims
-    for start in range(0, len(xs), ENCODE_BLOCK):
-        sl = slice(start, start + ENCODE_BLOCK)
+    dims, block = state.cfg.stream.dims, _block_rows(state.cfg)
+    for start in range(0, len(xs), block):
+        sl = slice(start, start + block)
         x, idx = xs[sl], indices[sl]
         b = len(x)
         pad = _padded_rows(b, dims) - b
@@ -267,22 +278,23 @@ def _encode(state, xs, indices):
 
 class FeatureMemo:
     """Exact memo of training-row features: an insertion-ordered dict from
-    (sample index, input row bytes) to that row's own feature copy, holding
-    at most ``rows`` entries. A miss is inserted, a hit keeps its place, and
-    past ``rows`` entries the oldest insertion is dropped. The index is part
-    of the key because a stored pyramid serves features by index, whatever
-    the input holds.
+    (sample index, ow, oh, flip) to that row's own feature copy, holding at
+    most ``rows`` entries. A miss is inserted, a hit keeps its place, and past
+    ``rows`` entries the oldest insertion is dropped. The key holds no input
+    bytes: a sample index's stored input never changes, and a row is a pure
+    function of that input and its augmentation draw (``augment_batch``).
     """
 
     def __init__(self, rows):
         self.rows = rows
         self.entries = OrderedDict()
 
-    def features(self, xs, indices, encode):
-        """Features of the float rows ``xs``; ``encode(xs, indices)`` runs once
-        on the rows the memo lacks, each distinct row once: a row repeated
-        within the call takes the features of its first copy."""
-        keys = [(i, x.tobytes()) for i, x in zip(indices.tolist(), xs)]
+    def features(self, xs, indices, draws, encode):
+        """Features of the float rows ``xs``, sample ``indices`` under ``draws``;
+        ``encode(xs, indices)`` runs once on the rows the memo lacks, each
+        distinct key once: a key repeated within the call takes the features
+        of its first row."""
+        keys = [(i, *d) for i, d in zip(indices.tolist(), draws.tolist())]
         found = [self.entries.get(k) for k in keys]
         first = {}  # each missing key -> the row of its first copy
         for r, (k, f) in enumerate(zip(keys, found)):
@@ -299,10 +311,11 @@ class FeatureMemo:
         return np.stack(found)
 
 
-def _features(state, xs, indices):
-    """Features of training rows (stream, replay and snapshot), through the
-    run's memo; see :func:`_encode`."""
-    return state.memo.features(xs, indices, lambda x, idx: _encode(state, x, idx))
+def _features(state, xs, indices, draws):
+    """Features of training rows (stream, replay and snapshot), each the draw
+    ``draws[i]`` of sample ``indices[i]``, through the run's memo; see
+    :func:`_encode`."""
+    return state.memo.features(xs, indices, draws, lambda x, idx: _encode(state, x, idx))
 
 
 def _head_ce(logits, ys, task_ids, heads):
@@ -373,18 +386,18 @@ class Trainer:
         task_free = cfg.loss.distill_variant == "tf"
         aug = (tuple(cfg.stream.augment_ops), cfg.stream.augment)
         for b, batch in enumerate(state.stream.train_batches(task_idx, cfg.train.batch)):
-            xs_stream = augment_batch(batch.xs, aug[0], aug[1], state.rngs["augment"],
-                                      is_replay=False, target_dims=cfg.stream.dims)
-            h_cur = _features(state, xs_stream, batch.indices)
+            xs_stream, draws = augment_batch(batch.xs, aug[0], aug[1], state.rngs["augment"],
+                                             is_replay=False, target_dims=cfg.stream.dims)
+            h_cur = _features(state, xs_stream, batch.indices, draws)
             replay_ready = cfg.replay.enabled and len(state.buffer) > 0
             rep = None
             for u in range(cfg.train.inner_updates):
                 if replay_ready and (rep is None or cfg.train.replay_draw == "per_update"):
                     rbatch = buffer_sample(state.buffer, cfg.replay.replay_batch,
                                            state.rngs["buffer"])
-                    rxs = augment_batch(rbatch.xs, aug[0], aug[1], state.rngs["augment"],
-                                        is_replay=True, target_dims=cfg.stream.dims)
-                    h_rep = _features(state, rxs, rbatch.indices)
+                    rxs, rdraws = augment_batch(rbatch.xs, aug[0], aug[1], state.rngs["augment"],
+                                                is_replay=True, target_dims=cfg.stream.dims)
+                    h_rep = _features(state, rxs, rbatch.indices, rdraws)
                     teacher_logits = None
                     if state.teacher is not None and cfg.loss.lambda_dctn > 0:
                         teacher_logits = state.teacher.logits_np(h_rep)
@@ -477,7 +490,8 @@ class Trainer:
         rows = [np.array([stack[i] for i in b.indices.tolist()]) for b in batches]
         state.tuple_set = build_tuple_set(
             self.cfg.loss.potential_metric,
-            _features(state, np.stack(xs), np.array(list(stack))) if stack else None,
+            _features(state, np.stack(xs), np.array(list(stack)),
+                      np.tile(NO_DRAW, (len(stack), 1))) if stack else None,
             [(a, z, ra, rz) for (a, z), ra, rz in zip(live, rows[::2], rows[1::2])],
             state.teacher.embed, self.cfg.loss.tau_teacher)
         return state

@@ -1,6 +1,8 @@
 """Frozen-encoder features: batch-independent encoding, the train-side memo,
 the per-task test-feature cache and the config-derived feature shape."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,12 +12,15 @@ import streamcl.tensor as T
 import streamcl.trainer as trainer_module
 from streamcl.config import parse_config_text
 from streamcl.encoder import AGGREGATE_MODES, StoredPyramidEncoder
+from streamcl.streams import CROP_PAD, NO_DRAW
 from streamcl.tensor import Tensor
 from streamcl.trainer import (
     FeatureMemo,
     Trainer,
+    _block_rows,
     _encode,
     _features,
+    _padded_rows,
     feature_shape,
     state_fingerprint,
 )
@@ -50,6 +55,11 @@ def bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
+def no_draws(n):
+    """The draws of ``n`` rows that augmentation left as they are."""
+    return np.tile(NO_DRAW, (n, 1))
+
+
 def counting_encoder(state):
     """Wrap the state's encoder so each call adds its row count to the list."""
     rows, features = [], state.encoder.features
@@ -65,7 +75,7 @@ def counting_encoder(state):
 class TestBatchIndependence:
     # The default config's stage channels: the deepest level's GEMMs take
     # rows * (dims/16)**2 columns, which padding brings to a multiple of 8.
-    @pytest.mark.parametrize("dims", [16, 32])
+    @pytest.mark.parametrize("dims", [16, 32, 48])
     @pytest.mark.parametrize("mode", AGGREGATE_MODES)
     def test_rows_equal_one_64_row_call(self, mode, dims):
         state = state_for(mode, dims, stage_channels=(8, 16, 32, 64))
@@ -73,26 +83,57 @@ class TestBatchIndependence:
         pool = rng.normal(size=(64, 1, dims, dims))
         with T.no_grad():
             ref = state.encoder.features(Tensor(pool), mode).data
+        block, calls = _block_rows(state.cfg), counting_encoder(state)
         for b in range(1, 71):
             rows = rng.permutation(64)[:b] if b <= 64 else rng.integers(0, 64, b)
+            del calls[:]
             got = _encode(state, pool[rows], rows)
             assert np.array_equal(bits(got), bits(ref[rows])), f"{b} rows differ"
+            # whole blocks, then the rest padded
+            rest = [_padded_rows(b % block, dims)] if b % block else []
+            assert calls == [block] * (b // block) + rest
+
+    @pytest.mark.parametrize("mode, dims, rows", [
+        ("top_down", 32, 16),  # the default: 16 KiB of (8, 16, 16) features a row
+        ("standard", 32, 32),
+        ("bottom_up", 32, 32),
+        ("top_down", 16, 32),
+        ("top_down", 48, 8),  # 7 rows of (8, 24, 24) fit; 8 is the next unpadded count
+        ("standard", 48, 32),
+    ])
+    def test_block_rows_follow_the_byte_bound(self, mode, dims, rows):
+        assert _block_rows(state_for(mode, dims, stage_channels=(8, 16, 32, 64)).cfg) == rows
 
 
-def variants(pool):
-    """Each pool row as it is, flipped and shifted: the kinds of repeat that
-    replay augmentation makes of one stored sample."""
-    return np.stack([pool, pool[..., ::-1], np.roll(pool, 1, axis=-1)], axis=1)
+class TestEncodeTransient:
+    def test_64_default_top_down_rows_peak_under_9_mib(self):
+        # one block's im2col buffers dominate the peak, so the byte bound caps it
+        state = Trainer(parse_config_text(""), seed=0).build_state()
+        xs = state.stream.tasks[0].train.xs[:64]
+        tracemalloc.start()
+        try:
+            _encode(state, xs, np.arange(64))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 9 * 2**20, f"{peak / 2**20:.2f} MiB"
 
+
+DRAWS = [NO_DRAW, (2, 2, 1), (0, 3, 0), (4, 1, 1)]
 
 CALLS = st.lists(
-    st.lists(st.tuples(st.integers(0, 5), st.integers(0, 2), st.booleans()),
+    st.lists(st.tuples(st.integers(0, 5), st.integers(0, len(DRAWS) - 1)),
              min_size=1, max_size=12),
     min_size=1, max_size=8)
 
 
-def keys_of(xs, idx):
-    return [(int(i), x.tobytes()) for i, x in zip(idx, xs)]
+def drawn(x, draw):
+    """Input row ``x`` under ``draw = (ow, oh, flip)``, as ``augment_batch`` makes it."""
+    ow, oh, flip = draw
+    w, h = x.shape[1:]
+    padded = np.pad(x, ((0, 0), (CROP_PAD, CROP_PAD), (CROP_PAD, CROP_PAD)))
+    row = padded[:, ow:ow + w, oh:oh + h]
+    return np.ascontiguousarray(row[:, ::-1] if flip else row)
 
 
 class TestMemo:
@@ -100,27 +141,30 @@ class TestMemo:
     @given(calls=CALLS)
     def test_every_result_equals_a_fresh_encode(self, calls):
         # a memo of 8 entries, so that calls of up to 12 rows evict inside a call;
-        # an aliased row has another sample index with the same input bytes.
-        # ``held`` is a reference FIFO of the last 8 distinct keys inserted: a hit
-        # keeps its place, so each call must encode exactly the first copies of
-        # the distinct keys it lacks, in one call
+        # an aliased row is the same sample index under another draw. ``held`` is a
+        # reference FIFO of the last 8 distinct keys inserted: a hit keeps its place,
+        # so each call must encode exactly the first rows of the distinct keys it
+        # lacks, in one call
         state = state_for()
         state.memo = FeatureMemo(8)
-        views = variants(np.random.default_rng(1).normal(size=(6, 1, 32, 32)))
+        pool = np.random.default_rng(1).normal(size=(6, 1, 32, 32))
+        rows = {(i, *d): drawn(pool[i], d) for i in range(6) for d in DRAWS}
         encoded, held = [], []
 
         def encode(xs, idx):
-            encoded.append(keys_of(xs, idx))
+            encoded.append([(int(i), x.tobytes()) for i, x in zip(idx, xs)])
             return _encode(state, xs, idx)
 
         for call in calls:
-            xs = np.stack([views[i, v] for i, v, _ in call])
-            idx = np.array([i + 10 * alias for i, _, alias in call])
+            keys = [(i, *DRAWS[d]) for i, d in call]
+            xs = np.stack([rows[k] for k in keys])
+            idx, draws = np.array([k[0] for k in keys]), np.array([k[1:] for k in keys])
             before = len(encoded)
-            got = state.memo.features(xs, idx, encode)
+            got = state.memo.features(xs, idx, draws, encode)
             assert np.array_equal(bits(got), bits(_encode(state, xs, idx)))
-            missing = list(dict.fromkeys(k for k in keys_of(xs, idx) if k not in held))
-            assert encoded[before:] == ([missing] if missing else [])
+            missing = list(dict.fromkeys(k for k in keys if k not in held))
+            want = [(k[0], rows[k].tobytes()) for k in missing]
+            assert encoded[before:] == ([want] if missing else [])
             held = (held + missing)[-8:]
 
     def test_repeats_encode_nothing(self, monkeypatch):
@@ -132,12 +176,19 @@ class TestMemo:
 
         monkeypatch.setattr(trainer_module, "_encode", counted)
         xs = np.random.default_rng(2).normal(size=(6, 1, 32, 32))
-        first = _features(state, xs, np.arange(6))
-        again = _features(state, xs[[5, 0, 0, 3]], np.array([5, 0, 0, 3]))
+        first = _features(state, xs, np.arange(6), no_draws(6))
+        again = _features(state, xs[[5, 0, 0, 3]], np.array([5, 0, 0, 3]), no_draws(4))
         assert rows == [6]
         assert np.array_equal(bits(again), bits(first[[5, 0, 0, 3]]))
-        _features(state, np.concatenate([xs[:2] + 1.0, xs[:2]]), np.arange(4) % 2)
-        assert rows == [6, 2]  # new bytes under a stored index are encoded
+        flip = (CROP_PAD, CROP_PAD, 1)
+        flipped = np.stack([drawn(x, flip) for x in xs[:2]])
+        draws = np.array([flip, flip, NO_DRAW, NO_DRAW])
+        mixed = _features(state, np.concatenate([flipped, xs[:2]]), np.arange(4) % 2, draws)
+        assert rows == [6, 2]  # a new draw of a stored index is encoded
+        assert np.array_equal(bits(mixed[2:]), bits(first[:2]))
+        again = _features(state, flipped[::-1], np.array([1, 0]), draws[:2])
+        assert rows == [6, 2]  # a repeated draw is not
+        assert np.array_equal(bits(again), bits(mixed[1::-1]))
 
     def test_stored_pyramid_is_keyed_by_index(self):
         # two samples with identical inputs but different stored pyramids
@@ -148,11 +199,11 @@ class TestMemo:
         state.encoder = StoredPyramidEncoder(levels, state.encoder.mixer, 1,
                                              cfg.encoder.stage_channels)
         xs = np.zeros((1, 1, 32, 32))
-        h0 = _features(state, xs, np.array([0]))
-        h1 = _features(state, xs, np.array([1]))
+        h0 = _features(state, xs, np.array([0]), no_draws(1))
+        h1 = _features(state, xs, np.array([1]), no_draws(1))
         assert not np.array_equal(h0, h1)
         assert np.array_equal(bits(h1), bits(_encode(state, xs, np.array([1]))))
-        both = _features(state, np.zeros((2, 1, 32, 32)), np.array([1, 0]))
+        both = _features(state, np.zeros((2, 1, 32, 32)), np.array([1, 0]), no_draws(2))
         assert np.array_equal(bits(both), bits(np.concatenate([h1, h0])))
 
 
@@ -171,13 +222,14 @@ class TestWholeRun:
     @pytest.mark.parametrize("overrides", [
         {},
         {"loss.distill_variant": "tf", "loss.new_task_classes": "2", "replay.policy": "reservoir"},
-    ], ids=["csd", "tf"])
+        {"stream.augment_ops": "crop_pad,hflip", "stream.augment": "all"},
+    ], ids=["csd", "tf", "flip_all"])
     def test_memo_changes_no_byte(self, overrides, monkeypatch):
         # against the same run with every training row encoded afresh
         cfg = parse_config_text(TINY, overrides)
         rows, encode = [], trainer_module._encode
 
-        def counted(state, xs, indices):
+        def counted(state, xs, indices, *draws):
             rows.append(len(xs))
             return encode(state, xs, indices)
 

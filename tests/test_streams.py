@@ -4,15 +4,18 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import streamcl.tensor as T
 from streamcl.encoder import MultiScaleEncoder
 from streamcl.streams import (
+    AUGMENT_APPLY,
     BLOB_NOISE,
+    CROP_PAD,
     GRATING_JITTER_DEG,
     GRATING_NOISE,
+    NO_DRAW,
     AccuracyMatrix,
     IncompleteMatrix,
     augment_batch,
@@ -196,23 +199,44 @@ class TestAugment:
         self.xs = self.rng.normal(size=(6, 1, 32, 32))
 
     def test_none_is_identity(self):
-        out = augment_batch(self.xs, ("crop_pad", "hflip"), "none", self.rng, is_replay=True)
+        out, draws = augment_batch(self.xs, ("crop_pad", "hflip"), "none", self.rng,
+                                   is_replay=True)
         np.testing.assert_array_equal(out, self.xs)
+        assert draws.tolist() == [list(NO_DRAW)] * len(self.xs)
 
     def test_hflip_involution(self):
         flipped = self.xs[:, :, ::-1, :]
         np.testing.assert_array_equal(flipped[:, :, ::-1, :], self.xs)
 
     def test_replay_only_leaves_stream_untouched(self):
-        stream_out = augment_batch(self.xs, ("crop_pad",), "replay_only", self.rng, is_replay=False)
+        stream_out, _ = augment_batch(self.xs, ("crop_pad",), "replay_only", self.rng,
+                                      is_replay=False)
         assert hashlib.sha256(stream_out.tobytes()).digest() == hashlib.sha256(self.xs.tobytes()).digest()
-        replay_out = augment_batch(self.xs, ("crop_pad",), "replay_only",
-                                   np.random.default_rng(1), is_replay=True)
+        replay_out, _ = augment_batch(self.xs, ("crop_pad",), "replay_only",
+                                      np.random.default_rng(1), is_replay=True)
         assert replay_out.tobytes() != self.xs.tobytes()
 
     def test_crop_pad_preserves_shape(self):
-        out = augment_batch(self.xs, ("crop_pad",), "all", self.rng, is_replay=False)
+        out, _ = augment_batch(self.xs, ("crop_pad",), "all", self.rng, is_replay=False)
         assert out.shape == self.xs.shape
+
+    @settings(max_examples=60, deadline=None)
+    @given(ops=st.sampled_from([("crop_pad",), ("hflip",), ("crop_pad", "hflip")]),
+           apply=st.sampled_from(AUGMENT_APPLY), is_replay=st.booleans(),
+           rows=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+    def test_each_row_is_its_draw_of_the_input(self, ops, apply, is_replay, rows, seed):
+        # the feature memo's key rests on this: a row is its input row, zero-padded by
+        # CROP_PAD, cropped at its (ow, oh) and flipped when its flip is set
+        rng = np.random.default_rng(seed)
+        xs = rng.normal(size=(rows, 2, 16, 16))
+        out, draws = augment_batch(xs, ops, apply, rng, is_replay)
+        assert draws.shape == (rows, 3)
+        padded = np.pad(xs, ((0, 0), (0, 0), (CROP_PAD, CROP_PAD), (CROP_PAD, CROP_PAD)))
+        for x, got, (ow, oh, flip) in zip(padded, out, draws.tolist()):
+            want = x[:, ow:ow + 16, oh:oh + 16]
+            if flip:
+                want = want[:, ::-1, :]
+            assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
     def test_resize_identity_when_dims_match(self):
         out = resize_images(self.xs, 32)

@@ -11,7 +11,7 @@ from streamcl.config import parse_config_text
 from streamcl.encoder import save_pyramid_file
 from streamcl.losses import POTENTIAL_METRICS, LabelOutOfRange, ce_loss, potential_matrix
 from streamcl.memory import buffer_sample
-from streamcl.streams import augment_batch
+from streamcl.streams import NO_DRAW, augment_batch
 from streamcl.tensor import Tensor
 from streamcl.trainer import Trainer, run_experiment, state_fingerprint
 
@@ -37,6 +37,11 @@ n_per_task = 5
 batch = 10
 {train}
 """
+
+
+def no_draws(n):
+    """The draws of ``n`` rows that augmentation left as they are."""
+    return np.tile(NO_DRAW, (n, 1))
 
 
 def tiny_cfg(kind="gaussian_blobs", norm="spn", replay="", loss="", train=""):
@@ -107,10 +112,10 @@ class TestOneUpdateGraph:
         alive = []
         real_features = trainer_module._features
 
-        def scanned(state, xs, indices):
+        def scanned(state, *args):
             alive.append(sum(1 for o in gc.get_objects()
                              if isinstance(o, Tensor) and o._backward is not None))
-            return real_features(state, xs, indices)
+            return real_features(state, *args)
 
         monkeypatch.setattr(trainer_module, "_features", scanned)
         gc.collect()  # graphs that earlier tests left in cycles
@@ -251,10 +256,10 @@ class TestEndOfTask:
         real_features = trainer_module._features
         real_snapshot = Trainer._snapshot
 
-        def counting(state, xs, indices):
+        def counting(state, xs, *args):
             encoded[0] += len(xs)
             calls[0] += 1
-            return real_features(state, xs, indices)
+            return real_features(state, xs, *args)
 
         def snapshot(self, state, pairs=None, anchors=None, tuples=None):
             out = real_snapshot(self, state, pairs, anchors, tuples)
@@ -269,7 +274,8 @@ class TestEndOfTask:
                 for b, rows in ((anchors[p.anchor_task], p.anchor_rows),
                                 (tuples[p.tuple_task], p.tuple_rows)):
                     np.testing.assert_allclose(tset.features[rows],
-                                               real_features(state, b.xs, b.indices),
+                                               real_features(state, b.xs, b.indices,
+                                                             no_draws(len(b))),
                                                rtol=0, atol=1e-12)
             return out
 
@@ -368,16 +374,17 @@ class TestDeterminismAndEquality:
         ref_state = Trainer(cfg, seed=7).build_state()
         expected = []
         for batch in ref_state.stream.train_batches(0, 10):
-            xs = augment_batch(batch.xs, ("crop_pad",), "replay_only",
-                               ref_state.rngs["augment"], is_replay=False, target_dims=32)
+            xs, _ = augment_batch(batch.xs, ("crop_pad",), "replay_only",
+                                  ref_state.rngs["augment"], is_replay=False, target_dims=32)
             with T.no_grad():
                 h = ref_state.encoder.features(Tensor(xs), "top_down").data
             for _ in range(2):
                 rep = None
                 if len(ref_state.buffer) > 0:
                     rb = buffer_sample(ref_state.buffer, 8, ref_state.rngs["buffer"])
-                    rxs = augment_batch(rb.xs, ("crop_pad",), "replay_only",
-                                        ref_state.rngs["augment"], is_replay=True, target_dims=32)
+                    rxs, _ = augment_batch(rb.xs, ("crop_pad",), "replay_only",
+                                           ref_state.rngs["augment"], is_replay=True,
+                                           target_dims=32)
                     with T.no_grad():
                         rep = (ref_state.encoder.features(Tensor(rxs), "top_down").data, rb.ys)
                 loss = ce_loss(ref_state.classifier.forward(Tensor(h)), batch.ys)
@@ -440,9 +447,9 @@ class TestKnobs:
         cfg.encoder.aggregate_channels = 6
         state = Trainer(cfg, seed=0).build_state()
         x = state.stream.tasks[0].train.xs[:3]
-        feats = trainer_module._features(state, x, np.arange(3))
+        feats = trainer_module._features(state, x, np.arange(3), no_draws(3))
         assert feats.shape[1] == 6 and state.classifier.conv1.shape[1] == 6
-        assert trainer_module._features(default, x, np.arange(3)).shape[1] == 4
+        assert trainer_module._features(default, x, np.arange(3), no_draws(3)).shape[1] == 4
         # the extra projection is drawn last: every other kernel is the default draw
         enc, ref = state.encoder, default.encoder
         kernels = enc.stages + enc.mixer.all_kernels()[:-1]
