@@ -146,8 +146,11 @@ def _environment_record():
         import resource
 
         peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        worker_kib = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
         lines += ["# peak_rss_mb: the process's peak so far (ru_maxrss)",
-                  f"peak_rss_mb = {peak_kib / 1024:.1f}"]
+                  f"peak_rss_mb = {peak_kib / 1024:.1f}",
+                  "# worker_peak_rss_mb: the largest peak of its ended children so far",
+                  f"worker_peak_rss_mb = {worker_kib / 1024:.1f}"]
     return "\n".join(lines) + "\n"
 
 
@@ -162,6 +165,9 @@ def write_bundle(outdir, cfg, results, wall_time):
         fh.write(f"seeds = {','.join(str(r.seed) for r in results)}\n")
         fh.write(f"wall_time_s = {wall_time:.3f}\n")
         fh.write(f"seed_wall_s = {','.join(f'{r.seed_wall_s:.3f}' for r in results)}\n")
+        fh.write(f"feature_worker = {','.join(r.feature_worker for r in results)}\n")
+        fh.write(f"blas_threads_set = "
+                 f"{','.join(str(r.blas_threads or 'none') for r in results)}\n")
         fh.write(_environment_record())
         fh.write("\n# config echo\n")
         fh.write(serialize(cfg))

@@ -18,8 +18,9 @@ import contextlib
 import copy
 import hashlib
 import time
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,6 +52,7 @@ from .tensor import (
     reshape,
     take,
 )
+from .worker import FeatureReader, feature_worker, one_blas_thread
 
 
 class Diverged(RuntimeError):
@@ -200,7 +202,9 @@ class ExperimentState:
     """Everything one seeded run holds. ``memo`` (training rows keyed by sample
     index and augmentation draw, at most MEMO_ROWS entries) and
     ``test_features`` (each task's test set) are exact caches of the frozen
-    encoder; no output depends on them."""
+    encoder; no output depends on them. ``feed`` is the pipe to or from a
+    feature worker (``worker.feature_worker``), None when the run encodes in
+    its own process; a main process fed by a worker holds no memo."""
 
     cfg: object
     stream: object
@@ -211,7 +215,8 @@ class ExperimentState:
     matrix: AccuracyMatrix
     heads: np.ndarray  # row t - 1: the sorted class columns task t may predict
     rngs: dict
-    memo: FeatureMemo
+    memo: FeatureMemo | None
+    feed: object = None
     teacher: Classifier | None = None
     tuple_set: DistillTupleSet | None = None
     class_order: list = field(default_factory=list)
@@ -311,11 +316,43 @@ class FeatureMemo:
         return np.stack(found)
 
 
-def _features(state, xs, indices, draws):
-    """Features of training rows (stream, replay and snapshot), each the draw
-    ``draws[i]`` of sample ``indices[i]``, through the run's memo; see
-    :func:`_encode`."""
-    return state.memo.features(xs, indices, draws, lambda x, idx: _encode(state, x, idx))
+def _features(state, xs, indices, draws=None):
+    """Features of the rows ``xs`` of samples ``indices``: training rows
+    (stream, replay and snapshot), each the draw ``draws[i]``, through the
+    run's memo, test rows (``draws`` None) afresh; see :func:`_encode`. A main
+    process fed by a feature worker reads them from it instead; the worker
+    writes each result to it and returns None, since its data side's steps
+    are never consumed (so it keeps no copy of the test features)."""
+    if isinstance(state.feed, FeatureReader):
+        return state.feed.read(len(xs))
+    if draws is None:
+        h = _encode(state, xs, indices)
+    else:
+        h = state.memo.features(xs, indices, draws, lambda x, idx: _encode(state, x, idx))
+    if state.feed is None:
+        return h
+    state.feed.write(h)
+    return None
+
+
+class _Update(NamedTuple):
+    """One inner update's data: stream batch ``batch`` (the ``batch_no``-th of
+    its task) with features ``h_cur``, and the replay draw ``rep = (rbatch,
+    h_rep)``, None without replay; a reused draw is the same object."""
+
+    batch_no: int
+    batch: object
+    h_cur: np.ndarray
+    rep: tuple | None
+
+
+class _Snapshot(NamedTuple):
+    """A boundary's data: the live pairs as ``(anchor task, tuple task,
+    anchor rows, tuple rows)`` into the stacked ``features``; ``pairs`` None
+    freezes a teacher without a tuple set."""
+
+    pairs: list | None
+    features: np.ndarray | None = None
 
 
 def _head_ce(logits, ys, task_ids, heads):
@@ -376,14 +413,16 @@ class Trainer:
                   "augment": np.random.default_rng(ss_augment)},
             memo=FeatureMemo(MEMO_ROWS))
 
-    # training -----------------------------------------------------------
+    # data side: model-free generators that a run's main process and its
+    # feature worker both execute ----------------------------------------------
 
-    def train_task(self, state, task_idx):
-        """One single-pass sweep over a task's batches (0-based index)."""
+    def _train_steps(self, state, task_idx):
+        """The data side of :meth:`train_task`: per stream batch, its
+        augmentation and features, one :class:`_Update` per inner update (each
+        drawing its replay batch as ``train.replay_draw`` says), then the
+        buffer inserts and, task-free, a pseudo-boundary's :class:`_Snapshot`."""
         cfg = self.cfg
-        state.classifier.train()
         task_id = task_idx + 1
-        task_free = cfg.loss.distill_variant == "tf"
         aug = (tuple(cfg.stream.augment_ops), cfg.stream.augment)
         for b, batch in enumerate(state.stream.train_batches(task_idx, cfg.train.batch)):
             xs_stream, draws = augment_batch(batch.xs, aug[0], aug[1], state.rngs["augment"],
@@ -391,19 +430,14 @@ class Trainer:
             h_cur = _features(state, xs_stream, batch.indices, draws)
             replay_ready = cfg.replay.enabled and len(state.buffer) > 0
             rep = None
-            for u in range(cfg.train.inner_updates):
+            for _ in range(cfg.train.inner_updates):
                 if replay_ready and (rep is None or cfg.train.replay_draw == "per_update"):
                     rbatch = buffer_sample(state.buffer, cfg.replay.replay_batch,
                                            state.rngs["buffer"])
                     rxs, rdraws = augment_batch(rbatch.xs, aug[0], aug[1], state.rngs["augment"],
                                                 is_replay=True, target_dims=cfg.stream.dims)
-                    h_rep = _features(state, rxs, rbatch.indices, rdraws)
-                    teacher_logits = None
-                    if state.teacher is not None and cfg.loss.lambda_dctn > 0:
-                        teacher_logits = state.teacher.logits_np(h_rep)
-                    rep = (h_rep, rbatch, teacher_logits)
-                state.losses_seen.append(self._update(state, h_cur, batch, task_id, rep))
-                _check_finite(state.optimizer.params, task_id, b + 1, len(state.losses_seen))
+                    rep = (rbatch, _features(state, rxs, rbatch.indices, rdraws))
+                yield _Update(b + 1, batch, h_cur, rep)
             if cfg.replay.enabled:
                 for i in range(len(batch.ys)):
                     label = int(batch.ys[i])
@@ -411,20 +445,107 @@ class Trainer:
                         state.class_order.append(label)
                     state.buffer.insert(batch.xs[i], label, task_id,
                                         int(batch.indices[i]), rng=state.rngs["buffer"])
-                if task_free:
-                    self._maybe_pseudo_boundary(state)
+                if cfg.loss.distill_variant == "tf":
+                    yield from self._pseudo_boundary(state)
+
+    def _pseudo_boundary(self, state):
+        """Task-free boundary (only with replay and the tf variant)."""
+        cfg = self.cfg
+        level = len(state.buffer.unique_labels()) // cfg.loss.new_task_classes
+        if level <= state.pseudo_level:
+            return
+        state.pseudo_level = level
+        anchors, tuples = select_pseudo_task_tuples(
+            state.buffer, state.class_order, cfg.loss.new_task_classes,
+            cfg.loss.n_per_task, cfg.loss.samples_per_class, state.rngs["buffer"])
+        yield self._boundary(state, structurewise_pairs("csd", level + 1), anchors, tuples)
+
+    def _task_boundary(self, state, finished_task_id):
+        """The data side of :meth:`end_of_task`: a teacher, and for the
+        task-aware variants fresh tuples, or nothing."""
+        cfg = self.cfg
+        variant = cfg.loss.distill_variant
+        if variant == "tf" or not cfg.replay.enabled or (
+                variant == "none" and cfg.loss.lambda_dctn <= 0):
+            return
+        if variant == "none":
+            yield _Snapshot(None)
+            return
+        selection = select_cross_task_tuples(state.buffer, cfg.loss.n_per_task,
+                                             state.rngs["buffer"])
+        yield self._boundary(state, structurewise_pairs(variant, finished_task_id + 1),
+                             selection, selection)
+
+    def _boundary(self, state, pairs, anchors, tuples):
+        """The :class:`_Snapshot` of ``pairs``, in which each buffer sample that a
+        live pair names is encoded and stacked once.
+
+        ``anchors`` and ``tuples`` map a task id to its selected buffer batch; a
+        pair is live when both of its batches hold rows. The stack holds each
+        sample index of the live pairs' batches (anchor batch before tuple
+        batch) in order of first appearance, encoded in one call, and each
+        batch becomes an integer row array into it.
+        """
+        live = [(a, z) for a, z in pairs if len(anchors.get(a, ())) and len(tuples.get(z, ()))]
+        batches = [b for a, z in live for b in (anchors[a], tuples[z])]
+        stack, xs = {}, []  # sample index -> its row of the stack; the stacked inputs
+        for b in batches:
+            for x, i in zip(b.xs, b.indices.tolist()):
+                if i not in stack:
+                    stack[i] = len(stack)
+                    xs.append(x)
+        rows = [np.array([stack[i] for i in b.indices.tolist()]) for b in batches]
+        features = _features(state, np.stack(xs), np.array(list(stack)),
+                             np.tile(NO_DRAW, (len(stack), 1))) if stack else None
+        return _Snapshot([(a, z, ra, rz) for (a, z), ra, rz in zip(live, rows[::2], rows[1::2])],
+                         features)
+
+    def _test_sets(self, state, upto_task):
+        """The data side of :meth:`evaluate`: each task index up to
+        ``upto_task``, its test set encoded, unaugmented, the first time."""
+        for j in range(upto_task + 1):
+            if j not in state.test_features:
+                test = state.stream.tasks[j].test
+                state.test_features[j] = _features(state, test.xs, test.indices)
+            yield j
+
+    def data_side(self, state):
+        """A feature worker's whole run: every task's data side in the order
+        :func:`run_experiment` consumes it."""
+        for t in range(state.stream.n_tasks):
+            for steps in (self._train_steps(state, t), self._task_boundary(state, t + 1),
+                          self._test_sets(state, t)):
+                deque(steps, maxlen=0)
+
+    # model side -----------------------------------------------------------
+
+    def train_task(self, state, task_idx):
+        """One single-pass sweep over a task's batches (0-based index)."""
+        state.classifier.train()
+        task_id = task_idx + 1
+        rep = teacher_logits = None
+        for step in self._train_steps(state, task_idx):
+            if isinstance(step, _Snapshot):
+                self._snapshot(state, step)
+                continue
+            if step.rep is not rep:
+                rep, teacher_logits = step.rep, None
+                if rep is not None and state.teacher is not None and self.cfg.loss.lambda_dctn > 0:
+                    teacher_logits = state.teacher.logits_np(rep[1])
+            state.losses_seen.append(self._update(state, step.h_cur, step.batch, task_id,
+                                                  rep, teacher_logits))
+            _check_finite(state.optimizer.params, task_id, step.batch_no, len(state.losses_seen))
         return state
 
-    def _update(self, state, h_cur, batch, task_id, rep):
+    def _update(self, state, h_cur, batch, task_id, rep, teacher_logits):
         """One SGD step on the composed objective of the stream batch, whose
-        features are ``h_cur``, and, given ``rep = (h_rep, rbatch,
-        teacher_logits)``, the replay batch. Returns the loss value: the
-        step's graph is unreachable once this returns, so it is freed before
-        the next update encodes anything."""
+        features are ``h_cur``, and, given ``rep = (rbatch, h_rep)``, the replay
+        batch. Returns the loss value: the step's graph is unreachable once
+        this returns, so it is freed before the next update reads any features."""
         cur_tasks = np.full(len(batch.ys), task_id)
-        rep_logits = rep_ys = teacher_logits = rep_tasks = None
+        rep_logits = rep_ys = rep_tasks = None
         if rep is not None:
-            h_rep, rbatch, teacher_logits = rep
+            rbatch, h_rep = rep
             rep_logits = state.classifier.forward(Tensor(h_rep))
             rep_ys, rep_tasks = rbatch.ys, rbatch.task_ids
         loss, _parts = total_objective(
@@ -440,59 +561,16 @@ class Trainer:
 
     def end_of_task(self, state, finished_task_id):
         """Snapshot and (for the task-aware variants) select fresh tuples."""
-        cfg = self.cfg
-        variant = cfg.loss.distill_variant
-        if variant == "tf" or not cfg.replay.enabled or (
-                variant == "none" and cfg.loss.lambda_dctn <= 0):
-            return state
-        if variant == "none":
-            return self._snapshot(state)
-        selection = select_cross_task_tuples(state.buffer, cfg.loss.n_per_task,
-                                             state.rngs["buffer"])
-        pairs = structurewise_pairs(variant, finished_task_id + 1)
-        return self._snapshot(state, pairs, selection, selection)
+        for step in self._task_boundary(state, finished_task_id):
+            self._snapshot(state, step)
+        return state
 
-    def _maybe_pseudo_boundary(self, state):
-        """Task-free boundary (called only with replay and the tf variant)."""
-        cfg = self.cfg
-        level = len(state.buffer.unique_labels()) // cfg.loss.new_task_classes
-        if level <= state.pseudo_level:
-            return
-        state.pseudo_level = level
-        anchors, tuples = select_pseudo_task_tuples(
-            state.buffer, state.class_order, cfg.loss.new_task_classes,
-            cfg.loss.n_per_task, cfg.loss.samples_per_class, state.rngs["buffer"])
-        self._snapshot(state, structurewise_pairs("csd", level + 1), anchors, tuples)
-
-    def _snapshot(self, state, pairs=None, anchors=None, tuples=None):
-        """Freeze a deep copy of the classifier as the teacher; given ``pairs``, cache
-        their tuple set, in which each buffer sample that a live pair names is
-        encoded and stacked once.
-
-        ``anchors`` and ``tuples`` map a task id to its selected buffer batch; a
-        pair is live when both of its batches hold rows. The stack holds each
-        sample index of the live pairs' batches (anchor batch before tuple
-        batch) in order of first appearance, encoded in one call, and each
-        batch becomes an integer row array into it.
-        """
+    def _snapshot(self, state, step):
+        """Freeze a deep copy of the classifier as the teacher and, unless
+        ``step.pairs`` is None, cache the tuple set of the :class:`_Snapshot`."""
         state.teacher = state.classifier.clone().eval()
-        state.tuple_set = None
-        if pairs is None:
-            return state
-        live = [(a, z) for a, z in pairs if len(anchors.get(a, ())) and len(tuples.get(z, ()))]
-        batches = [b for a, z in live for b in (anchors[a], tuples[z])]
-        stack, xs = {}, []  # sample index -> its row of the stack; the stacked inputs
-        for b in batches:
-            for x, i in zip(b.xs, b.indices.tolist()):
-                if i not in stack:
-                    stack[i] = len(stack)
-                    xs.append(x)
-        rows = [np.array([stack[i] for i in b.indices.tolist()]) for b in batches]
-        state.tuple_set = build_tuple_set(
-            self.cfg.loss.potential_metric,
-            _features(state, np.stack(xs), np.array(list(stack)),
-                      np.tile(NO_DRAW, (len(stack), 1))) if stack else None,
-            [(a, z, ra, rz) for (a, z), ra, rz in zip(live, rows[::2], rows[1::2])],
+        state.tuple_set = None if step.pairs is None else build_tuple_set(
+            self.cfg.loss.potential_metric, step.features, step.pairs,
             state.teacher.embed, self.cfg.loss.tau_teacher)
         return state
 
@@ -503,10 +581,8 @@ class Trainer:
         cache changes: each task's test set is encoded once per run, unaugmented."""
         clf = state.classifier
         with clf.eval_mode(), no_grad():
-            for j in range(upto_task + 1):
+            for j in self._test_sets(state, upto_task):
                 test = state.stream.tasks[j].test
-                if j not in state.test_features:
-                    state.test_features[j] = _encode(state, test.xs, test.indices)
                 correct = 0
                 for start in range(0, len(test), 100):
                     sl = slice(start, start + 100)
@@ -525,22 +601,29 @@ class ExperimentResult:
     matrix: AccuracyMatrix
     metrics: dict
     seed_wall_s: float  # wall time of the run, set-up included
+    feature_worker: str  # "1", or "0 (<why the run encoded inline>)"
+    blas_threads: int | None  # the OpenBLAS thread count the run set, None if it could not
 
 
 def run_experiment(cfg, seed):
-    """Full seeded run: train every task, evaluate after each, score."""
+    """Full seeded run: train every task, evaluate after each, score. Each
+    process of the run uses one OpenBLAS thread; where it can, the run forks
+    a feature worker that encodes ahead of training (``worker.py``)."""
     start = time.perf_counter()
     trainer = Trainer(cfg, seed)
-    state = trainer.build_state()
-    kernels_before = state.encoder.kernel_bytes()
-    for t in range(state.stream.n_tasks):
-        trainer.train_task(state, t)
-        trainer.end_of_task(state, t + 1)
-        trainer.evaluate(state, t)
+    with one_blas_thread() as blas_threads:
+        state = trainer.build_state()
+        kernels_before = state.encoder.kernel_bytes()
+        with feature_worker(state, lambda: trainer.data_side(state), feature_shape(cfg),
+                            blas_threads) as worker:
+            for t in range(state.stream.n_tasks):
+                trainer.train_task(state, t)
+                trainer.end_of_task(state, t + 1)
+                trainer.evaluate(state, t)
     assert state.encoder.kernel_bytes() == kernels_before, "encoder drifted"
     acc, fm, la = compute_metrics(state.matrix)
     return ExperimentResult(seed, state.matrix, {"acc": acc, "fm": fm, "la": la},
-                            time.perf_counter() - start)
+                            time.perf_counter() - start, worker, blas_threads)
 
 
 def state_fingerprint(state):

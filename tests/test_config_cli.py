@@ -305,8 +305,12 @@ class TestCmdRun:
         assert set(cli.THREAD_VARS) <= set(record)
         walls = [float(s) for s in record["seed_wall_s"].split(",")]
         assert len(walls) == 2 and all(0 < w <= float(record["wall_time_s"]) for w in walls)
+        assert all(re.fullmatch(r"1|0 \(.+\)", w) for w in record["feature_worker"].split(","))
+        assert len(record["feature_worker"].split(",")) == 2
+        assert record["blas_threads_set"] in ("1,1", "none,none")
         if sys.platform.startswith("linux"):
             assert 10 < float(record["peak_rss_mb"]) < 100_000
+            assert 0 <= float(record["worker_peak_rss_mb"]) < 100_000
 
     def test_aggregate_mean_matches_matrix_files(self, tmp_path):
         cfg_path = tmp_path / "exp.cfg"

@@ -23,7 +23,7 @@ from streamcl.tensor import (
     ShapeMismatch,
     Tensor,
 )
-from streamcl.trainer import run_experiment
+from streamcl.trainer import Trainer
 
 
 def conv2d_loop(x, k, stride, padding):
@@ -743,11 +743,18 @@ class TestGradientChecks:
 
     def test_runs_reach_every_op(self, monkeypatch):
         """The core holds only what runs: the check suite and one small
-        default-config run between them call every op that records a rule."""
+        default-config run between them call every op that records a rule.
+        The run goes through the trainer's own loop, which encodes in this
+        process, so the encoder's ops are recorded here too."""
         called, _ = self.record_ops(monkeypatch)
         assert all(passed for _, passed, _ in checks.run_all())
-        run_experiment(parse_config_text(
+        trainer = Trainer(parse_config_text(
             "[stream]\ntasks = 2\nsamples_per_task = 30\ntest_samples = 20\n"), seed=0)
+        state = trainer.build_state()
+        for t in range(state.stream.n_tasks):
+            trainer.train_task(state, t)
+            trainer.end_of_task(state, t + 1)
+            trainer.evaluate(state, t)
         assert called == self.backward_rules()
 
 

@@ -49,6 +49,18 @@ def tiny_cfg(kind="gaussian_blobs", norm="spn", replay="", loss="", train=""):
                                           loss=loss, train=train))
 
 
+def inline_run(cfg, seed):
+    """A whole run through the trainer's own loop, encoding in this process;
+    returns the final state."""
+    trainer = Trainer(cfg, seed)
+    state = trainer.build_state()
+    for t in range(state.stream.n_tasks):
+        trainer.train_task(state, t)
+        trainer.end_of_task(state, t + 1)
+        trainer.evaluate(state, t)
+    return state
+
+
 class TestTrainTask:
     def test_task1_runs_without_snapshot(self):
         trainer = Trainer(tiny_cfg(), seed=0)
@@ -252,56 +264,54 @@ class TestEndOfTask:
     def test_boundaries_encode_only_the_stacked_rows(self, monkeypatch, loss, replay):
         # a boundary encodes exactly the rows its tuple set stacks, in one call:
         # none for selected tasks that no live pair names, and each sample index once
-        encoded, calls, distinct = [0], [0], [0]
+        encoded, calls = [0], [0]
         real_features = trainer_module._features
-        real_snapshot = Trainer._snapshot
+        real_boundary, real_snapshot = Trainer._boundary, Trainer._snapshot
 
         def counting(state, xs, *args):
             encoded[0] += len(xs)
             calls[0] += 1
             return real_features(state, xs, *args)
 
-        def snapshot(self, state, pairs=None, anchors=None, tuples=None):
-            out = real_snapshot(self, state, pairs, anchors, tuples)
-            live = [(a, z) for a, z in pairs or ()
+        seen, built = [], []
+
+        def boundary(self, state, pairs, anchors, tuples):
+            encoded[0], calls[0] = 0, 0
+            step = real_boundary(self, state, pairs, anchors, tuples)
+            live = [(a, z) for a, z in pairs
                     if len(anchors.get(a, ())) and len(tuples.get(z, ()))]
-            distinct[0] = len({int(i) for a, z in live
-                               for i in np.concatenate([anchors[a].indices, tuples[z].indices])})
+            distinct = len({int(i) for a, z in live
+                            for i in np.concatenate([anchors[a].indices, tuples[z].indices])})
             # each pair's rows hold its own batches' samples, in batch order
-            tset = state.tuple_set
-            assert [(p.anchor_task, p.tuple_task) for p in tset.pairs] == live
-            for p in tset.pairs:
-                for b, rows in ((anchors[p.anchor_task], p.anchor_rows),
-                                (tuples[p.tuple_task], p.tuple_rows)):
-                    np.testing.assert_allclose(tset.features[rows],
+            assert [(a, z) for a, z, _, _ in step.pairs] == live
+            for a, z, a_rows, z_rows in step.pairs:
+                for b, rows in ((anchors[a], a_rows), (tuples[z], z_rows)):
+                    np.testing.assert_allclose(step.features[rows],
                                                real_features(state, b.xs, b.indices,
                                                              no_draws(len(b))),
                                                rtol=0, atol=1e-12)
+            stacked = 0 if step.features is None else len(step.features)
+            seen.append((encoded[0], stacked, distinct, calls[0]))
+            return step
+
+        def snapshot(self, state, step):
+            out = real_snapshot(self, state, step)
+            tset = state.tuple_set
+            built.append(tset.features is step.features and
+                         [(p.anchor_task, p.tuple_task) for p in tset.pairs]
+                         == [(a, z) for a, z, _, _ in step.pairs])
             return out
 
-        seen = []
-
-        def at_boundary(real):
-            def hook(self, state, *args):
-                encoded[0], calls[0], distinct[0], before = 0, 0, 0, state.tuple_set
-                out = real(self, state, *args)
-                tset = state.tuple_set
-                if tset is not before or encoded[0]:
-                    stacked = 0 if tset is None or tset.features is None else len(tset.features)
-                    seen.append((encoded[0], stacked, distinct[0], calls[0]))
-                return out
-            return hook
-
         monkeypatch.setattr(trainer_module, "_features", counting)
+        monkeypatch.setattr(Trainer, "_boundary", boundary)
         monkeypatch.setattr(Trainer, "_snapshot", snapshot)
-        for name in ("end_of_task", "_maybe_pseudo_boundary"):
-            monkeypatch.setattr(Trainer, name, at_boundary(getattr(Trainer, name)))
         cfg = tiny_cfg(replay=replay, loss=loss)
         cfg.stream.tasks = 4
-        run_experiment(cfg, seed=1)
+        inline_run(cfg, seed=1)
         assert len(seen) >= 3 and any(stacked for _, stacked, _, _ in seen)
         assert all(enc == stacked == n for enc, stacked, n, _ in seen), seen
         assert all(c == (1 if stacked else 0) for _, stacked, _, c in seen), seen
+        assert len(built) == len(seen) and all(built)
 
 
 class TestEvaluate:

@@ -1,0 +1,253 @@
+"""The feature worker (``streamcl.worker``): a forked process that encodes a
+seed's rows ahead of training. A worker run is byte-identical to the
+trainer's inline loop, a run's bytes do not depend on the BLAS thread count
+it starts with, and no run leaves a process behind, however it ends."""
+
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import streamcl.tensor as T
+import streamcl.trainer as trainer_module
+from streamcl import worker
+from streamcl.cli import main
+from streamcl.config import parse_config_text
+from streamcl.encoder import save_pyramid_file
+from streamcl.tensor import InvalidConfig, Tensor
+from streamcl.trainer import Trainer, run_experiment, state_fingerprint
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+INLINE_REASON = worker._inline_reason(1 if worker._blas_thread_calls() else None)
+needs_worker = pytest.mark.skipif(INLINE_REASON is not None,
+                                  reason=f"runs encode inline here: {INLINE_REASON}")
+
+TINY = """
+[stream]
+kind = gaussian_blobs
+tasks = 3
+samples_per_task = 40
+test_samples = 30
+[encoder]
+stage_channels = 4,4,8,8
+[model]
+feature_channels = 4
+[replay]
+capacity = 20
+replay_batch = 8
+[loss]
+n_per_task = 5
+[train]
+batch = 10
+"""
+
+
+def inline_run(cfg, seed):
+    """The trainer's own loop, encoding in this process, at one BLAS thread."""
+    trainer = Trainer(cfg, seed)
+    with worker.one_blas_thread():
+        state = trainer.build_state()
+        for t in range(state.stream.n_tasks):
+            trainer.train_task(state, t)
+            trainer.end_of_task(state, t + 1)
+            trainer.evaluate(state, t)
+    return state
+
+
+def worker_run(cfg, seed, monkeypatch):
+    """``run_experiment`` and the main process's final state."""
+    states, build = [], Trainer.build_state
+
+    def kept(self):
+        states.append(build(self))
+        return states[-1]
+
+    monkeypatch.setattr(Trainer, "build_state", kept)
+    return run_experiment(cfg, seed), states[0]
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def pyramid_cfg(tmp_path, seed):
+    """TINY without augmentation, reading the live encoder's pyramid from a file."""
+    cfg = parse_config_text(TINY, {"stream.augment": "none"})
+    state = Trainer(cfg, seed).build_state()
+    tasks = state.stream.tasks
+    xs = np.concatenate([np.concatenate([t.train.xs, t.test.xs]) for t in tasks])
+    idx = np.concatenate([np.concatenate([t.train.indices, t.test.indices]) for t in tasks])
+    with T.no_grad():
+        pyramid = state.encoder.extract(Tensor(xs[np.argsort(idx)]))
+    save_pyramid_file(tmp_path / "stream.pyr", [level.data for level in pyramid])
+    cfg.encoder.pyramid_file = str(tmp_path / "stream.pyr")
+    return cfg
+
+
+@needs_worker
+class TestWorkerRun:
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"loss.distill_variant": "tf", "loss.new_task_classes": "2",
+         "loss.samples_per_class": "2", "replay.policy": "reservoir"},
+        {"stream.augment_ops": "crop_pad,hflip", "stream.augment": "all"},
+        {"encoder.aggregate_mode": "standard"},
+        None,
+    ], ids=["csd", "tf", "flip_all", "standard", "stored_pyramid"])
+    def test_bytes_equal_the_inline_loop(self, overrides, monkeypatch, tmp_path):
+        cfg = pyramid_cfg(tmp_path, 4) if overrides is None else parse_config_text(TINY, overrides)
+        inline = inline_run(cfg, 4)
+        result, state = worker_run(cfg, 4, monkeypatch)
+        assert result.feature_worker == "1" and result.blas_threads == 1
+        assert state.memo is None and state.feed is None  # the memo lived in the worker
+        assert len(inline.memo.entries) > 0
+        assert result.matrix.csv_lines() == inline.matrix.csv_lines()
+        assert state_fingerprint(state) == state_fingerprint(inline)
+        assert_no_child()
+
+    def test_one_usable_cpu_encodes_inline(self, monkeypatch):
+        cfg = parse_config_text(TINY)
+        forked = run_experiment(cfg, 5)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        inline = run_experiment(cfg, 5)
+        assert (forked.feature_worker, inline.feature_worker) == ("1", "0 (one usable CPU)")
+        assert inline.matrix.csv_lines() == forked.matrix.csv_lines()
+
+    def test_a_worker_error_reaches_the_main_process(self, monkeypatch):
+        # the encoder runs only in the worker; its exception is re-raised here
+        def refused(state, xs, indices):
+            raise InvalidConfig("the encoder refused")
+
+        monkeypatch.setattr(trainer_module, "_encode", refused)
+        with pytest.raises(InvalidConfig, match="the encoder refused"):
+            run_experiment(parse_config_text(TINY), 0)
+        assert_no_child()
+
+
+def test_one_blas_thread_restores_the_count():
+    calls = worker._blas_thread_calls()
+    if calls is None:
+        pytest.skip("no OpenBLAS thread control is loaded")
+    get, _ = calls
+    before = get()
+    with worker.one_blas_thread() as threads:
+        assert threads == get() == 1
+    assert get() == before
+
+
+# taskfree_long with 4 tasks: at seed 7 its final classifier state differed
+# between OPENBLAS_NUM_THREADS=1 and 2 while runs used the BLAS threads they
+# were started with
+TASKFREE = """
+[stream]
+tasks = 4
+samples_per_task = 40
+[loss]
+distill_variant = tf
+new_task_classes = 2
+[replay]
+policy = reservoir
+"""
+
+FINGERPRINTED_RUN = """
+import sys
+from streamcl import cli
+from streamcl.trainer import Trainer, state_fingerprint
+
+fingerprints, evaluate = [], Trainer.evaluate
+
+def recorded(self, state, upto_task):
+    row = evaluate(self, state, upto_task)
+    fingerprints.append(state_fingerprint(state))
+    return row
+
+Trainer.evaluate = recorded
+rc = cli.main(["run", "--config", sys.argv[1], "--out", sys.argv[2], "--seeds", "7"])
+print(fingerprints[-1])
+sys.exit(rc)
+"""
+
+
+def test_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(TASKFREE)
+    runs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"out{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(SRC))
+        proc = subprocess.run([sys.executable, "-c", FINGERPRINTED_RUN, str(cfg), str(out)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        runs[threads] = (proc.stdout.split()[-1], (out / "matrix_7.csv").read_bytes(),
+                         (out / "metrics.txt").read_bytes())
+    assert runs["1"] == runs["2"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverged_run_exits_1_and_leaves_no_child(tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("[stream]\nsamples_per_task = 60\n[train]\nlr = 1000\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                 "--seeds", "0"]) == 1
+    assert_no_child()
+
+
+def children(pid):
+    """Pids of the processes whose parent is ``pid``: from
+    ``/proc/<pid>/task/*/children``, or from every ``/proc/<n>/stat`` where
+    the kernel keeps no such list."""
+    lists = list(Path(f"/proc/{pid}/task").glob("*/children"))
+    if lists:
+        return sorted({int(p) for f in lists for p in f.read_text().split()})
+    kids = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rpartition(")")[2].split()
+        except OSError:  # ended while listed
+            continue
+        if int(fields[1]) == pid:
+            kids.append(int(stat.parent.name))
+    return sorted(kids)
+
+
+def running(pid):
+    """Whether ``pid`` exists and has not exited (a zombie has)."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rpartition(")")[2].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+@needs_worker
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_killed_run_leaves_no_worker(tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("[stream]\nsamples_per_task = 200\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "import sys; from streamcl.cli import main; sys.exit(main())",
+         "run", "--config", str(cfg), "--out", str(tmp_path / "out"), "--seeds", "0"],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline, kids = time.monotonic() + 60, []
+        while not kids and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.05)
+            kids = children(proc.pid)
+        assert kids, "no feature worker appeared"
+        time.sleep(0.5)  # into training
+        assert proc.poll() is None
+        proc.send_signal(signal.SIGKILL)
+        proc.wait()
+        deadline = time.monotonic() + 5
+        while any(running(k) for k in kids) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(running(k) for k in kids)
+    finally:
+        proc.kill()
+        proc.wait()
