@@ -43,10 +43,12 @@ def _pin_malloc_thresholds():
     """Fix glibc malloc's mmap and trim thresholds for the run's process.
 
     By default glibc raises both to the largest block freed so far. The
-    encoder's 32-row blocks keep every temporary small, so the heap would
-    hand its pages back to the kernel after each block and fault them in
-    again: a blob run took three times the page faults of 64- and 100-row
-    encoder calls, and 20-40% longer per batch.
+    encoder's small blocks (16 top-down rows at the defaults) keep every
+    temporary small, so the heap would hand its pages back to the kernel
+    after each block and fault them in again: a blob run took three times
+    the page faults of 64- and 100-row encoder calls, and 20-40% longer per
+    batch. A feature worker, which does the encoding, inherits the pin
+    through ``fork``.
     """
     if not sys.platform.startswith("linux"):
         return

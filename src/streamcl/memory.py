@@ -7,25 +7,13 @@ setting); the reservoir buffer keeps a uniform sample of the whole stream
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+
+from .streams import Batch
 
 
 class EmptyBuffer(RuntimeError):
     """Sampling requested from a buffer with no stored items."""
-
-
-@dataclass
-class Batch:
-    xs: np.ndarray
-    ys: np.ndarray
-    task_ids: np.ndarray
-    indices: np.ndarray
-    with_replacement: bool = False
-
-    def __len__(self):
-        return len(self.ys)
 
 
 class ReplayBuffer:

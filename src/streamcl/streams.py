@@ -34,10 +34,16 @@ class IncompleteMatrix(ValueError):
 
 
 @dataclass
-class SampleSet:
+class Batch:
+    """Rows of samples: a task's train or test set, a stream batch or a replay
+    draw. ``task_ids`` are 1-based, as in the buffers; ``with_replacement``
+    flags a replay draw that had to repeat stored samples."""
+
     xs: np.ndarray
     ys: np.ndarray
+    task_ids: np.ndarray
     indices: np.ndarray
+    with_replacement: bool = False
 
     def __len__(self):
         return len(self.ys)
@@ -47,8 +53,8 @@ class SampleSet:
 class Task:
     task_id: int
     class_ids: tuple
-    train: SampleSet
-    test: SampleSet
+    train: Batch
+    test: Batch
 
 
 @dataclass
@@ -75,7 +81,7 @@ class TaskStream:
         train = self.tasks[task_id].train
         for start in range(0, len(train), batch_size):
             sl = slice(start, start + batch_size)
-            yield SampleSet(train.xs[sl], train.ys[sl], train.indices[sl])
+            yield Batch(train.xs[sl], train.ys[sl], train.task_ids[sl], train.indices[sl])
 
 
 def generate_stream(kind, n_tasks, classes_per_task, samples_per_task,
@@ -137,7 +143,7 @@ def generate_stream(kind, n_tasks, classes_per_task, samples_per_task,
             ys = rng.integers(0, classes_per_task, size=count) + t * classes_per_task
             idx = np.arange(next_index, next_index + count)
             next_index += count
-            sets.append(SampleSet(render(ys), ys, idx))
+            sets.append(Batch(render(ys), ys, np.full(count, t + 1), idx))
         tasks.append(Task(t, class_ids, sets[0], sets[1]))
     return TaskStream(kind, tasks, dims, channels)
 
@@ -190,7 +196,7 @@ def _load_tiny_images(n_tasks, classes_per_task, samples_per_task, test_samples,
             offset += count
             idx = np.arange(next_index, next_index + count)
             next_index += count
-            sets.append(SampleSet(images[sel].copy(), labels[sel].copy(), idx))
+            sets.append(Batch(images[sel].copy(), labels[sel].copy(), np.full(count, t + 1), idx))
         tasks.append(Task(t, class_ids, sets[0], sets[1]))
     return TaskStream("tiny_images", tasks, dims, channels)
 

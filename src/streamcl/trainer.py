@@ -18,6 +18,7 @@ import contextlib
 import copy
 import hashlib
 import time
+import weakref
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -52,7 +53,7 @@ from .tensor import (
     reshape,
     take,
 )
-from .worker import FeatureReader, feature_worker, one_blas_thread
+from .worker import feature_worker, one_blas_thread
 
 
 class Diverged(RuntimeError):
@@ -199,12 +200,12 @@ class Classifier:
 
 @dataclass
 class ExperimentState:
-    """Everything one seeded run holds. ``memo`` (training rows keyed by sample
-    index and augmentation draw, at most MEMO_ROWS entries) and
-    ``test_features`` (each task's test set) are exact caches of the frozen
-    encoder; no output depends on them. ``feed`` is the pipe to or from a
-    feature worker (``worker.feature_worker``), None when the run encodes in
-    its own process; a main process fed by a worker holds no memo."""
+    """Everything one seeded run holds. ``features(xs, indices, draws=None)``
+    gives the features of rows ``xs`` of samples ``indices``, training rows
+    each under its augmentation draw, test rows with ``draws`` None: a
+    :class:`FeatureEncoder` where this process encodes, or the feature
+    worker's pipe (``worker.feature_worker``). ``test_features`` (each task's
+    test set) is an exact cache of the frozen encoder; no output depends on it."""
 
     cfg: object
     stream: object
@@ -215,8 +216,7 @@ class ExperimentState:
     matrix: AccuracyMatrix
     heads: np.ndarray  # row t - 1: the sorted class columns task t may predict
     rngs: dict
-    memo: FeatureMemo | None
-    feed: object = None
+    features: object = None
     teacher: Classifier | None = None
     tuple_set: DistillTupleSet | None = None
     class_order: list = field(default_factory=list)
@@ -316,23 +316,20 @@ class FeatureMemo:
         return np.stack(found)
 
 
-def _features(state, xs, indices, draws=None):
-    """Features of the rows ``xs`` of samples ``indices``: training rows
-    (stream, replay and snapshot), each the draw ``draws[i]``, through the
-    run's memo, test rows (``draws`` None) afresh; see :func:`_encode`. A main
-    process fed by a feature worker reads them from it instead; the worker
-    writes each result to it and returns None, since its data side's steps
-    are never consumed (so it keeps no copy of the test features)."""
-    if isinstance(state.feed, FeatureReader):
-        return state.feed.read(len(xs))
-    if draws is None:
-        h = _encode(state, xs, indices)
-    else:
-        h = state.memo.features(xs, indices, draws, lambda x, idx: _encode(state, x, idx))
-    if state.feed is None:
-        return h
-    state.feed.write(h)
-    return None
+class FeatureEncoder:
+    """``state.features`` of a process that encodes: training rows (stream,
+    replay and snapshot), each the draw ``draws[i]``, through a
+    :class:`FeatureMemo` of MEMO_ROWS entries, test rows (``draws`` None)
+    afresh; see :func:`_encode`."""
+
+    def __init__(self, state):
+        # weak, so that a run's state is freed as soon as it is dropped, not by the cycle collector
+        self.state, self.memo = weakref.proxy(state), FeatureMemo(MEMO_ROWS)
+
+    def __call__(self, xs, indices, draws=None):
+        if draws is None:
+            return _encode(self.state, xs, indices)
+        return self.memo.features(xs, indices, draws, lambda x, idx: _encode(self.state, x, idx))
 
 
 class _Update(NamedTuple):
@@ -405,13 +402,14 @@ class Trainer:
             buffer = RingBuffer(cfg.replay.capacity)
         else:
             buffer = ReservoirBuffer(cfg.replay.capacity)
-        return ExperimentState(
+        state = ExperimentState(
             cfg=cfg, stream=stream, encoder=encoder, classifier=classifier,
             optimizer=SGD(classifier.params(), cfg.train.lr), buffer=buffer,
             matrix=AccuracyMatrix(stream.n_tasks), heads=heads,
             rngs={"buffer": np.random.default_rng(ss_buffer),
-                  "augment": np.random.default_rng(ss_augment)},
-            memo=FeatureMemo(MEMO_ROWS))
+                  "augment": np.random.default_rng(ss_augment)})
+        state.features = FeatureEncoder(state)
+        return state
 
     # data side: model-free generators that a run's main process and its
     # feature worker both execute ----------------------------------------------
@@ -422,12 +420,11 @@ class Trainer:
         drawing its replay batch as ``train.replay_draw`` says), then the
         buffer inserts and, task-free, a pseudo-boundary's :class:`_Snapshot`."""
         cfg = self.cfg
-        task_id = task_idx + 1
         aug = (tuple(cfg.stream.augment_ops), cfg.stream.augment)
         for b, batch in enumerate(state.stream.train_batches(task_idx, cfg.train.batch)):
             xs_stream, draws = augment_batch(batch.xs, aug[0], aug[1], state.rngs["augment"],
                                              is_replay=False, target_dims=cfg.stream.dims)
-            h_cur = _features(state, xs_stream, batch.indices, draws)
+            h_cur = state.features(xs_stream, batch.indices, draws)
             replay_ready = cfg.replay.enabled and len(state.buffer) > 0
             rep = None
             for _ in range(cfg.train.inner_updates):
@@ -436,15 +433,15 @@ class Trainer:
                                            state.rngs["buffer"])
                     rxs, rdraws = augment_batch(rbatch.xs, aug[0], aug[1], state.rngs["augment"],
                                                 is_replay=True, target_dims=cfg.stream.dims)
-                    rep = (rbatch, _features(state, rxs, rbatch.indices, rdraws))
+                    rep = (rbatch, state.features(rxs, rbatch.indices, rdraws))
                 yield _Update(b + 1, batch, h_cur, rep)
             if cfg.replay.enabled:
                 for i in range(len(batch.ys)):
                     label = int(batch.ys[i])
                     if label not in state.class_order:
                         state.class_order.append(label)
-                    state.buffer.insert(batch.xs[i], label, task_id,
-                                        int(batch.indices[i]), rng=state.rngs["buffer"])
+                    state.buffer.insert(batch.xs[i], label, batch.task_ids[i],
+                                        batch.indices[i], rng=state.rngs["buffer"])
                 if cfg.loss.distill_variant == "tf":
                     yield from self._pseudo_boundary(state)
 
@@ -495,8 +492,8 @@ class Trainer:
                     stack[i] = len(stack)
                     xs.append(x)
         rows = [np.array([stack[i] for i in b.indices.tolist()]) for b in batches]
-        features = _features(state, np.stack(xs), np.array(list(stack)),
-                             np.tile(NO_DRAW, (len(stack), 1))) if stack else None
+        features = state.features(np.stack(xs), np.array(list(stack)),
+                                  np.tile(NO_DRAW, (len(stack), 1))) if stack else None
         return _Snapshot([(a, z, ra, rz) for (a, z), ra, rz in zip(live, rows[::2], rows[1::2])],
                          features)
 
@@ -506,16 +503,19 @@ class Trainer:
         for j in range(upto_task + 1):
             if j not in state.test_features:
                 test = state.stream.tasks[j].test
-                state.test_features[j] = _features(state, test.xs, test.indices)
+                state.test_features[j] = state.features(test.xs, test.indices)
             yield j
 
     def data_side(self, state):
         """A feature worker's whole run: every task's data side in the order
-        :func:`run_experiment` consumes it."""
+        :func:`run_experiment` consumes it, then the frozen-kernel check."""
+        kernels = state.encoder.kernel_bytes()
         for t in range(state.stream.n_tasks):
             for steps in (self._train_steps(state, t), self._task_boundary(state, t + 1),
                           self._test_sets(state, t)):
                 deque(steps, maxlen=0)
+        if state.encoder.kernel_bytes() != kernels:
+            raise RuntimeError("the frozen encoder's kernels changed in the feature worker")
 
     # model side -----------------------------------------------------------
 
@@ -532,28 +532,26 @@ class Trainer:
                 rep, teacher_logits = step.rep, None
                 if rep is not None and state.teacher is not None and self.cfg.loss.lambda_dctn > 0:
                     teacher_logits = state.teacher.logits_np(rep[1])
-            state.losses_seen.append(self._update(state, step.h_cur, step.batch, task_id,
-                                                  rep, teacher_logits))
+            state.losses_seen.append(self._update(state, step.h_cur, step.batch, rep,
+                                                  teacher_logits))
             _check_finite(state.optimizer.params, task_id, step.batch_no, len(state.losses_seen))
         return state
 
-    def _update(self, state, h_cur, batch, task_id, rep, teacher_logits):
+    def _update(self, state, h_cur, batch, rep, teacher_logits):
         """One SGD step on the composed objective of the stream batch, whose
         features are ``h_cur``, and, given ``rep = (rbatch, h_rep)``, the replay
         batch. Returns the loss value: the step's graph is unreachable once
         this returns, so it is freed before the next update reads any features."""
-        cur_tasks = np.full(len(batch.ys), task_id)
-        rep_logits = rep_ys = rep_tasks = None
+        rbatch = rep_logits = rep_ys = None
         if rep is not None:
             rbatch, h_rep = rep
-            rep_logits = state.classifier.forward(Tensor(h_rep))
-            rep_ys, rep_tasks = rbatch.ys, rbatch.task_ids
+            rep_logits, rep_ys = state.classifier.forward(Tensor(h_rep)), rbatch.ys
         loss, _parts = total_objective(
             state.classifier.forward(Tensor(h_cur)), batch.ys,
             rep_logits, rep_ys, teacher_logits, state.tuple_set,
             state.classifier.embed, loss_cfg=self.cfg.loss,
-            ce_fn=lambda lo, ys: _head_ce(lo, ys, cur_tasks, state.heads),
-            replay_ce_fn=lambda lo, ys: _head_ce(lo, ys, rep_tasks, state.heads))
+            ce_fn=lambda lo, ys: _head_ce(lo, ys, batch.task_ids, state.heads),
+            replay_ce_fn=lambda lo, ys: _head_ce(lo, ys, rbatch.task_ids, state.heads))
         state.optimizer.zero_grad()
         loss.backward()
         state.optimizer.step()
@@ -608,19 +606,20 @@ class ExperimentResult:
 def run_experiment(cfg, seed):
     """Full seeded run: train every task, evaluate after each, score. Each
     process of the run uses one OpenBLAS thread; where it can, the run forks
-    a feature worker that encodes ahead of training (``worker.py``)."""
+    a feature worker that encodes ahead of training (``worker.py``). The
+    process that encoded checks that the encoder stayed frozen."""
     start = time.perf_counter()
     trainer = Trainer(cfg, seed)
     with one_blas_thread() as blas_threads:
         state = trainer.build_state()
-        kernels_before = state.encoder.kernel_bytes()
-        with feature_worker(state, lambda: trainer.data_side(state), feature_shape(cfg),
-                            blas_threads) as worker:
+        kernels = state.encoder.kernel_bytes()
+        with feature_worker(state, lambda: trainer.data_side(state)) as worker:
             for t in range(state.stream.n_tasks):
                 trainer.train_task(state, t)
                 trainer.end_of_task(state, t + 1)
                 trainer.evaluate(state, t)
-    assert state.encoder.kernel_bytes() == kernels_before, "encoder drifted"
+    if worker != "1" and state.encoder.kernel_bytes() != kernels:
+        raise RuntimeError("the frozen encoder's kernels changed during the run")
     acc, fm, la = compute_metrics(state.matrix)
     return ExperimentResult(seed, state.matrix, {"acc": acc, "fm": fm, "la": la},
                             time.perf_counter() - start, worker, blas_threads)

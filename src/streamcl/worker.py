@@ -4,10 +4,11 @@ The encoder is frozen, so each feature row is a pure function of its sample
 and augmentation draw, and which rows a run encodes never depends on the
 classifier. After ``build_state`` a run forks one worker. Both processes run
 the same model-free data side (stream batches, augmentation, replay draws,
-buffer inserts, tuple selection, test sets); the worker encodes every row it
-asks for and writes the features to a pipe, and the main process reads them
-in the same order instead of encoding, while it does the model side. The
-worker runs ahead by up to the pipe's capacity.
+buffer inserts, tuple selection, test sets), each asking ``state.features``
+for its rows. In the worker it encodes them (training rows through the memo,
+which so fills only there) and writes them to a pipe; in the main process it
+reads them in the same order, while the main does the model side. The worker
+runs ahead by up to the pipe's capacity.
 
 Each process runs OpenBLAS on one thread, so two processes fill two cores
 without oversubscribing them, and a run's bytes do not depend on the BLAS
@@ -33,22 +34,16 @@ _F_SETPIPE_SZ = 1031  # Linux fcntl command
 
 @functools.cache
 def _blas_thread_calls():
-    """``(get, set)`` of the loaded OpenBLAS library's thread count, found by
-    its ``*get_num_threads*`` and ``*set_num_threads*`` symbols, or None."""
+    """``(get, set)`` of the thread count of the OpenBLAS that numpy's own
+    linear-algebra extension links, by their C symbols, or None."""
     try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
-    except OSError:  # not Linux
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except OSError:
         return None
-    names = [(f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}")
-             for prefix in ("openblas", "scipy_openblas") for suffix in ("", "64_", "_64_")]
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for get_name, set_name in names:
-            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+    for prefix in ("openblas", "scipy_openblas"):
+        for suffix in ("", "64_", "_64_"):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
             if get is not None and set_ is not None:
                 get.argtypes, get.restype = (), ctypes.c_int
                 set_.argtypes, set_.restype = (ctypes.c_int,), None
@@ -73,11 +68,11 @@ def one_blas_thread():
         set_(before)
 
 
-def _inline_reason(blas_threads):
+def _inline_reason():
     """Why a run must encode in its own process, or None when it may fork."""
     if not hasattr(os, "fork"):
         return "no fork"
-    if blas_threads is None:
+    if _blas_thread_calls() is None:
         return "no OpenBLAS thread control"
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     if (cpus or 1) < 2:
@@ -86,15 +81,15 @@ def _inline_reason(blas_threads):
 
 
 class FeatureWriter:
-    """The worker's end of the pipe. A frame is an int64 row count and that
-    many float64 feature rows; a negative count -n announces n bytes of a
-    pickled exception that ended the worker."""
+    """The worker's end of the pipe. A frame is the int64 shape ``(rows, C, W,
+    H)`` of the features and their float64 bytes; a shape ``(-n, 0, 0, 0)``
+    announces n bytes of a pickled exception that ended the worker."""
 
     def __init__(self, fd):
         self.file = open(fd, "wb")  # ends with the worker's process
 
     def write(self, rows):
-        self.file.write(np.int64(len(rows)).tobytes())
+        self.file.write(np.array(rows.shape, dtype=np.int64).tobytes())
         self.file.write(memoryview(np.ascontiguousarray(rows, dtype=np.float64)).cast("B"))
         self.file.flush()
 
@@ -103,48 +98,52 @@ class FeatureWriter:
             blob = pickle.dumps(exc)
         except Exception:  # an exception that does not pickle
             blob = pickle.dumps(RuntimeError(f"feature worker: {exc!r}"))
-        self.file.write(np.int64(-len(blob)).tobytes() + blob)
+        self.file.write(np.array([-len(blob), 0, 0, 0], dtype=np.int64).tobytes() + blob)
         self.file.flush()
 
 
 class FeatureReader:
-    """The main process's end of the pipe: reads each frame as the rows that
-    the same call of the data side would have encoded."""
+    """``state.features`` of a main process fed by a worker: reads each frame
+    as the rows that the same call of the data side encoded there."""
 
-    def __init__(self, fd, row_shape):
+    def __init__(self, fd):
         self.file = open(fd, "rb")  # closed by feature_worker
-        self.row_shape = tuple(row_shape)
 
     def _exactly(self, buf):
         if self.file.readinto(buf) != memoryview(buf).nbytes:
             raise RuntimeError("the feature worker ended before the run did")
 
-    def read(self, rows):
-        head = np.empty(1, dtype=np.int64)
+    def __call__(self, xs, indices, draws=None):
+        head = np.empty(4, dtype=np.int64)
         self._exactly(head)
-        n = int(head[0])
-        if n < 0:
-            blob = bytearray(-n)
+        if head[0] < 0:
+            blob = bytearray(-int(head[0]))
             self._exactly(blob)
             raise pickle.loads(blob)
-        if n != rows:
-            raise RuntimeError(f"the feature worker sent {n} rows where the run needs {rows}")
-        out = np.empty((n,) + self.row_shape)
+        if head[0] != len(xs):
+            raise RuntimeError(f"the feature worker sent {head[0]} rows "
+                               f"where the run needs {len(xs)}")
+        out = np.empty(tuple(head.tolist()))
         self._exactly(out)
         return out
 
+    def finish(self):
+        """At the end of the run: raise what ended the worker after its last frame."""
+        if self.file.peek(1):  # b"" once the worker has closed the pipe
+            self((), None)  # the worker's exception, or a frame no request asked for
+
 
 @contextlib.contextmanager
-def feature_worker(state, feed, row_shape, blas_threads):
+def feature_worker(state, feed):
     """Fork a worker that runs ``feed()``, the seed's data side, with
-    ``state.feed`` writing to the main process; here ``state.feed`` reads
-    from it and ``state.memo`` is dropped. Yields the manifest's
-    ``feature_worker`` entry: "1", or "0 (<reason>)" when the state is left
-    to encode inline. The worker is reaped on every exit from the block; it
-    is killed unless the block completed, and it ends by itself on a closed
-    pipe when the main process dies.
+    ``state.features`` encoding and writing each result to the main process;
+    here ``state.features`` reads them until the block ends. Yields the
+    manifest's ``feature_worker`` entry: "1", or "0 (<reason>)" when the state
+    is left to encode inline. The worker is reaped on every exit from the
+    block; it is killed unless the block completed, and it ends by itself on
+    a closed pipe when the main process dies.
     """
-    reason = _inline_reason(blas_threads)
+    reason = _inline_reason()
     if reason is not None:
         yield f"0 ({reason})"
         return
@@ -164,25 +163,28 @@ def feature_worker(state, feed, row_shape, blas_threads):
         code = 1
         try:
             os.close(r)
-            state.feed = FeatureWriter(w)
+            writer, encode = FeatureWriter(w), state.features
+            # the steps are never consumed, so the worker keeps nothing it sent
+            state.features = lambda *rows: writer.write(encode(*rows))
             try:
                 feed()
                 code = 0
             except BrokenPipeError:  # the main process stopped reading
                 pass
             except BaseException as exc:  # this process ends below; the main re-raises it
-                state.feed.fail(exc)
+                writer.fail(exc)
         finally:
             os._exit(code)
     os.close(w)
-    state.feed, state.memo = FeatureReader(r, row_shape), None
+    encode, state.features = state.features, FeatureReader(r)
     finished = False
     try:
         yield "1"
+        state.features.finish()
         finished = True
     finally:
-        state.feed.file.close()
-        state.feed = None
+        state.features.file.close()
+        state.features = encode
         if not finished:
             os.kill(pid, signal.SIGKILL)
         status = os.waitpid(pid, 0)[1]

@@ -1,7 +1,9 @@
 """Frozen-encoder features: batch-independent encoding, the train-side memo,
 the per-task test-feature cache and the config-derived feature shape."""
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -19,9 +21,9 @@ from streamcl.trainer import (
     Trainer,
     _block_rows,
     _encode,
-    _features,
     _padded_rows,
     feature_shape,
+    run_experiment,
     state_fingerprint,
 )
 
@@ -145,8 +147,7 @@ class TestMemo:
         # reference FIFO of the last 8 distinct keys inserted: a hit keeps its place,
         # so each call must encode exactly the first rows of the distinct keys it
         # lacks, in one call
-        state = state_for()
-        state.memo = FeatureMemo(8)
+        state, memo = state_for(), FeatureMemo(8)
         pool = np.random.default_rng(1).normal(size=(6, 1, 32, 32))
         rows = {(i, *d): drawn(pool[i], d) for i in range(6) for d in DRAWS}
         encoded, held = [], []
@@ -160,7 +161,7 @@ class TestMemo:
             xs = np.stack([rows[k] for k in keys])
             idx, draws = np.array([k[0] for k in keys]), np.array([k[1:] for k in keys])
             before = len(encoded)
-            got = state.memo.features(xs, idx, draws, encode)
+            got = memo.features(xs, idx, draws, encode)
             assert np.array_equal(bits(got), bits(_encode(state, xs, idx)))
             missing = list(dict.fromkeys(k for k in keys if k not in held))
             want = [(k[0], rows[k].tobytes()) for k in missing]
@@ -176,17 +177,17 @@ class TestMemo:
 
         monkeypatch.setattr(trainer_module, "_encode", counted)
         xs = np.random.default_rng(2).normal(size=(6, 1, 32, 32))
-        first = _features(state, xs, np.arange(6), no_draws(6))
-        again = _features(state, xs[[5, 0, 0, 3]], np.array([5, 0, 0, 3]), no_draws(4))
+        first = state.features(xs, np.arange(6), no_draws(6))
+        again = state.features(xs[[5, 0, 0, 3]], np.array([5, 0, 0, 3]), no_draws(4))
         assert rows == [6]
         assert np.array_equal(bits(again), bits(first[[5, 0, 0, 3]]))
         flip = (CROP_PAD, CROP_PAD, 1)
         flipped = np.stack([drawn(x, flip) for x in xs[:2]])
         draws = np.array([flip, flip, NO_DRAW, NO_DRAW])
-        mixed = _features(state, np.concatenate([flipped, xs[:2]]), np.arange(4) % 2, draws)
+        mixed = state.features(np.concatenate([flipped, xs[:2]]), np.arange(4) % 2, draws)
         assert rows == [6, 2]  # a new draw of a stored index is encoded
         assert np.array_equal(bits(mixed[2:]), bits(first[:2]))
-        again = _features(state, flipped[::-1], np.array([1, 0]), draws[:2])
+        again = state.features(flipped[::-1], np.array([1, 0]), draws[:2])
         assert rows == [6, 2]  # a repeated draw is not
         assert np.array_equal(bits(again), bits(mixed[1::-1]))
 
@@ -199,11 +200,11 @@ class TestMemo:
         state.encoder = StoredPyramidEncoder(levels, state.encoder.mixer, 1,
                                              cfg.encoder.stage_channels)
         xs = np.zeros((1, 1, 32, 32))
-        h0 = _features(state, xs, np.array([0]), no_draws(1))
-        h1 = _features(state, xs, np.array([1]), no_draws(1))
+        h0 = state.features(xs, np.array([0]), no_draws(1))
+        h1 = state.features(xs, np.array([1]), no_draws(1))
         assert not np.array_equal(h0, h1)
         assert np.array_equal(bits(h1), bits(_encode(state, xs, np.array([1]))))
-        both = _features(state, np.zeros((2, 1, 32, 32)), np.array([1, 0]), no_draws(2))
+        both = state.features(np.zeros((2, 1, 32, 32)), np.array([1, 0]), no_draws(2))
         assert np.array_equal(bits(both), bits(np.concatenate([h1, h0])))
 
 
@@ -229,7 +230,7 @@ class TestWholeRun:
         cfg = parse_config_text(TINY, overrides)
         rows, encode = [], trainer_module._encode
 
-        def counted(state, xs, indices, *draws):
+        def counted(state, xs, indices):
             rows.append(len(xs))
             return encode(state, xs, indices)
 
@@ -237,9 +238,29 @@ class TestWholeRun:
         memo = run_bytes(cfg)
         memo_rows = sum(rows)
         del rows[:]
-        monkeypatch.setattr(trainer_module, "_features", counted)
+        monkeypatch.setattr(FeatureMemo, "features",
+                            lambda memo, xs, indices, draws, encode: encode(xs, indices))
         assert run_bytes(cfg) == memo
         assert memo_rows < sum(rows)  # the memo did serve some rows
+
+
+def test_a_finished_run_frees_its_state(monkeypatch):
+    # the state and its feature source form no cycle, so the caches go with the
+    # run, before the next seed builds its own, without the cycle collector
+    refs, build = [], Trainer.build_state
+
+    def kept(self):
+        state = build(self)
+        refs.append(weakref.ref(state))
+        return state
+
+    monkeypatch.setattr(Trainer, "build_state", kept)
+    gc.disable()
+    try:
+        run_experiment(parse_config_text(TINY), 0)
+        assert refs[0]() is None
+    finally:
+        gc.enable()
 
 
 class TestTestFeatureCache:

@@ -141,6 +141,7 @@ class TestGeneration:
         assert [len(b) for b in batches] == [10, 10, 5]
         got = np.concatenate([b.indices for b in batches])
         np.testing.assert_array_equal(got, stream.tasks[1].train.indices)
+        assert all((b.task_ids == 2).all() for b in batches)  # 1-based, as in the buffers
 
     def test_bad_dims_rejected(self):
         with pytest.raises(InvalidConfig):
@@ -187,6 +188,7 @@ class TestTinyImages:
         assert stream.n_tasks == 2
         assert set(stream.tasks[0].class_ids) == {0, 1}
         assert len(stream.tasks[0].train) == 15
+        assert (stream.tasks[1].test.task_ids == 2).all()
 
     def test_missing_directory(self):
         with pytest.raises(InvalidConfig):

@@ -7,6 +7,7 @@ import pytest
 
 import streamcl.tensor as T
 import streamcl.trainer as trainer_module
+from streamcl import worker
 from streamcl.config import parse_config_text
 from streamcl.encoder import save_pyramid_file
 from streamcl.losses import POTENTIAL_METRICS, LabelOutOfRange, ce_loss, potential_matrix
@@ -122,14 +123,13 @@ class TestOneUpdateGraph:
         # each update's graph is freed on its return, before the next one
         # encodes its replay batch, the next stream batch or a snapshot
         alive = []
-        real_features = trainer_module._features
+        for source in (trainer_module.FeatureEncoder, worker.FeatureReader):
+            def scanned(features, *args, _call=source.__call__):
+                alive.append(sum(1 for o in gc.get_objects()
+                                 if isinstance(o, Tensor) and o._backward is not None))
+                return _call(features, *args)
 
-        def scanned(state, *args):
-            alive.append(sum(1 for o in gc.get_objects()
-                             if isinstance(o, Tensor) and o._backward is not None))
-            return real_features(state, *args)
-
-        monkeypatch.setattr(trainer_module, "_features", scanned)
+            monkeypatch.setattr(source, "__call__", scanned)
         gc.collect()  # graphs that earlier tests left in cycles
         run_experiment(tiny_cfg(loss=loss, replay=replay), seed=0)
         assert len(alive) > 20
@@ -265,13 +265,13 @@ class TestEndOfTask:
         # a boundary encodes exactly the rows its tuple set stacks, in one call:
         # none for selected tasks that no live pair names, and each sample index once
         encoded, calls = [0], [0]
-        real_features = trainer_module._features
+        real_features = trainer_module.FeatureEncoder.__call__
         real_boundary, real_snapshot = Trainer._boundary, Trainer._snapshot
 
-        def counting(state, xs, *args):
+        def counting(features, xs, *args):
             encoded[0] += len(xs)
             calls[0] += 1
-            return real_features(state, xs, *args)
+            return real_features(features, xs, *args)
 
         seen, built = [], []
 
@@ -287,7 +287,7 @@ class TestEndOfTask:
             for a, z, a_rows, z_rows in step.pairs:
                 for b, rows in ((anchors[a], a_rows), (tuples[z], z_rows)):
                     np.testing.assert_allclose(step.features[rows],
-                                               real_features(state, b.xs, b.indices,
+                                               real_features(state.features, b.xs, b.indices,
                                                              no_draws(len(b))),
                                                rtol=0, atol=1e-12)
             stacked = 0 if step.features is None else len(step.features)
@@ -302,7 +302,7 @@ class TestEndOfTask:
                          == [(a, z) for a, z, _, _ in step.pairs])
             return out
 
-        monkeypatch.setattr(trainer_module, "_features", counting)
+        monkeypatch.setattr(trainer_module.FeatureEncoder, "__call__", counting)
         monkeypatch.setattr(Trainer, "_boundary", boundary)
         monkeypatch.setattr(Trainer, "_snapshot", snapshot)
         cfg = tiny_cfg(replay=replay, loss=loss)
@@ -457,9 +457,9 @@ class TestKnobs:
         cfg.encoder.aggregate_channels = 6
         state = Trainer(cfg, seed=0).build_state()
         x = state.stream.tasks[0].train.xs[:3]
-        feats = trainer_module._features(state, x, np.arange(3), no_draws(3))
+        feats = state.features(x, np.arange(3), no_draws(3))
         assert feats.shape[1] == 6 and state.classifier.conv1.shape[1] == 6
-        assert trainer_module._features(default, x, np.arange(3), no_draws(3)).shape[1] == 4
+        assert default.features(x, np.arange(3), no_draws(3)).shape[1] == 4
         # the extra projection is drawn last: every other kernel is the default draw
         enc, ref = state.encoder, default.encoder
         kernels = enc.stages + enc.mixer.all_kernels()[:-1]

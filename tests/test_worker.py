@@ -3,7 +3,9 @@ seed's rows ahead of training. A worker run is byte-identical to the
 trainer's inline loop, a run's bytes do not depend on the BLAS thread count
 it starts with, and no run leaves a process behind, however it ends."""
 
+import errno
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -18,12 +20,12 @@ import streamcl.trainer as trainer_module
 from streamcl import worker
 from streamcl.cli import main
 from streamcl.config import parse_config_text
-from streamcl.encoder import save_pyramid_file
+from streamcl.encoder import MultiScaleEncoder, save_pyramid_file
 from streamcl.tensor import InvalidConfig, Tensor
 from streamcl.trainer import Trainer, run_experiment, state_fingerprint
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-INLINE_REASON = worker._inline_reason(1 if worker._blas_thread_calls() else None)
+INLINE_REASON = worker._inline_reason()
 needs_worker = pytest.mark.skipif(INLINE_REASON is not None,
                                   reason=f"runs encode inline here: {INLINE_REASON}")
 
@@ -105,8 +107,8 @@ class TestWorkerRun:
         inline = inline_run(cfg, 4)
         result, state = worker_run(cfg, 4, monkeypatch)
         assert result.feature_worker == "1" and result.blas_threads == 1
-        assert state.memo is None and state.feed is None  # the memo lived in the worker
-        assert len(inline.memo.entries) > 0
+        assert len(state.features.memo.entries) == 0  # the memo lived in the worker
+        assert len(inline.features.memo.entries) > 0
         assert result.matrix.csv_lines() == inline.matrix.csv_lines()
         assert state_fingerprint(state) == state_fingerprint(inline)
         assert_no_child()
@@ -127,6 +129,63 @@ class TestWorkerRun:
         monkeypatch.setattr(trainer_module, "_encode", refused)
         with pytest.raises(InvalidConfig, match="the encoder refused"):
             run_experiment(parse_config_text(TINY), 0)
+        assert_no_child()
+
+    @pytest.mark.parametrize("cpus", [None, {0}], ids=["worker", "inline"])
+    def test_a_drifting_encoder_fails_the_run(self, cpus, monkeypatch):
+        # each process's first encoder call bumps a frozen kernel in place; a
+        # worker run must check the kernels of the worker, which encoded
+        features, bumped = MultiScaleEncoder.features, []
+
+        def drifting(enc, x, mode, indices=None):
+            if not bumped:
+                enc.stages[0].data.flat[0] += 1.0
+                bumped.append(True)
+            return features(enc, x, mode, indices=indices)
+
+        monkeypatch.setattr(MultiScaleEncoder, "features", drifting)
+        if cpus is not None:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        with pytest.raises(RuntimeError, match="frozen encoder's kernels changed"):
+            run_experiment(parse_config_text(TINY), 0)
+        assert bool(bumped) == (cpus is not None)  # a worker run never encodes here
+        assert_no_child()
+
+
+@needs_worker
+class TestPipeFailure:
+    def test_a_worker_that_ends_early_fails_the_run(self, monkeypatch):
+        monkeypatch.setattr(Trainer, "data_side", lambda self, state: None)
+        with pytest.raises(RuntimeError, match="^the feature worker ended before the run did$"):
+            run_experiment(parse_config_text(TINY), 0)
+        assert_no_child()
+
+    def test_a_frame_of_the_wrong_row_count_fails_the_run(self, monkeypatch):
+        write = worker.FeatureWriter.write
+        monkeypatch.setattr(worker.FeatureWriter, "write", lambda w, rows: write(w, rows[:-1]))
+        with pytest.raises(RuntimeError, match="sent 9 rows where the run needs 10"):
+            run_experiment(parse_config_text(TINY), 0)
+        assert_no_child()
+
+    def test_a_failed_fork_encodes_inline(self, monkeypatch, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(TINY)
+
+        def run(out):
+            assert main(["run", "--config", str(cfg), "--out", str(out), "--seeds", "3"]) == 0
+            return out
+
+        def failing():
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        forked = run(tmp_path / "forked")
+        monkeypatch.setattr(os, "fork", failing)
+        inline = run(tmp_path / "inline")
+        manifest = (inline / "manifest.txt").read_text()
+        assert re.search(r"^feature_worker = 0 \(fork failed: .+\)$", manifest, re.M), manifest
+        assert "feature_worker = 1\n" in (forked / "manifest.txt").read_text()
+        for name in ("matrix_3.csv", "metrics.txt"):
+            assert (inline / name).read_bytes() == (forked / name).read_bytes()
         assert_no_child()
 
 

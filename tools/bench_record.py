@@ -18,6 +18,12 @@ seen. With two or more checkouts the first is the baseline: per metric, the
 experiment records how many pairs each other checkout won (all five metrics
 are lower-is-better), its median against the baseline's, and whether the
 medians differ by more than the baseline's interquartile range.
+
+Each checkout also runs the default config's seed 0 once, ``streamcl run
+--seeds 0`` under ``OPENBLAS_NUM_THREADS=1``, and the experiment keeps that
+manifest's ``seed_wall_s``, ``peak_rss_mb`` and ``worker_peak_rss_mb``:
+perfbench's ``peak_rss_mb`` counts its own process only (``RUSAGE_SELF``),
+not the feature worker that a run forks.
 """
 
 from __future__ import annotations
@@ -29,9 +35,11 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 METRICS = ("wall_s", "setup_s", "batch_p50_ms", "batch_p90_ms", "peak_rss_mb")
+MANIFEST_KEYS = ("seed_wall_s", "peak_rss_mb", "worker_peak_rss_mb", "feature_worker")
 
 
 def run_once(checkout, workload, seed, seconds):
@@ -56,6 +64,29 @@ def run_once(checkout, workload, seed, seconds):
         name, _, metric_name = key.rpartition(".")
         rows[name or workload]["metrics"][metric_name] = (metric["value"], metric["unit"])
     return env, rows
+
+
+def default_seed(checkout):
+    """The manifest entries MANIFEST_KEYS of one default-config seed-0 run of
+    ``checkout`` at one OpenBLAS thread, numbers as floats."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(checkout).resolve() / "src"))
+    with tempfile.TemporaryDirectory(prefix="bench-seed0-") as tmp:
+        cmd = [sys.executable, "-m", "streamcl.cli", "run", "--seeds", "0", "--out", tmp + "/out"]
+        proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True,
+                              check=False)
+        if proc.returncode != 0:
+            raise SystemExit(f"{checkout}: {' '.join(cmd)} exited {proc.returncode}:\n"
+                             f"{proc.stderr[-2000:]}")
+        lines = Path(tmp, "out", "manifest.txt").read_text().splitlines()
+    entries = dict(line.split(" = ", 1) for line in lines if " = " in line)
+    out = {}
+    for key in MANIFEST_KEYS:
+        try:
+            out[key] = float(entries[key])
+        except (KeyError, ValueError):  # absent at older checkouts, or not a number
+            out[key] = entries.get(key)
+    return out
 
 
 def summarize(runs):
@@ -121,6 +152,9 @@ def main(argv=None):
                 f"{w}.{m}={v[0]:.4g}" for w, r in rows.items()
                 for m, v in r["metrics"].items() if m in ("wall_s", "batch_p50_ms")), flush=True)
     summary = {name: {"env": envs[name], "workloads": summarize(runs[name])} for name in names}
+    for name in names:
+        summary[name]["default_seed0"] = default_seed(checkouts[name])
+        print(f"{name} default seed 0: {summary[name]['default_seed0']}", flush=True)
     experiment = {
         "label": args.label,
         "recorded": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
