@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import ctypes
 import fnmatch
 import os
 import shutil
@@ -39,30 +38,7 @@ def _load_config(args, overrides=None):
     return parse_config(args.config, overrides) if args.config else parse_config_text("", overrides)
 
 
-def _pin_malloc_thresholds():
-    """Fix glibc malloc's mmap and trim thresholds for the run's process.
-
-    By default glibc raises both to the largest block freed so far. The
-    encoder's small blocks (16 top-down rows at the defaults) keep every
-    temporary small, so the heap would hand its pages back to the kernel
-    after each block and fault them in again: a blob run took three times
-    the page faults of 64- and 100-row encoder calls, and 20-40% longer per
-    batch. A feature worker, which does the encoding, inherits the pin
-    through ``fork``.
-    """
-    if not sys.platform.startswith("linux"):
-        return
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except AttributeError:  # a C library without mallopt
-        return
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, its largest allowed value
-    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
-
-
 def _run_seeds(cfg):
-    _pin_malloc_thresholds()
     return [run_experiment(cfg, s) for s in cfg.train.seeds]
 
 

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import functools
 import hashlib
 import time
-import weakref
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -53,7 +53,7 @@ from .tensor import (
     reshape,
     take,
 )
-from .worker import feature_worker, one_blas_thread
+from .worker import feature_worker, one_blas_thread, pin_malloc_thresholds
 
 
 class Diverged(RuntimeError):
@@ -216,7 +216,7 @@ class ExperimentState:
     matrix: AccuracyMatrix
     heads: np.ndarray  # row t - 1: the sorted class columns task t may predict
     rngs: dict
-    features: object = None
+    features: object
     teacher: Classifier | None = None
     tuple_set: DistillTupleSet | None = None
     class_order: list = field(default_factory=list)
@@ -260,13 +260,13 @@ def _block_rows(cfg):
     return _padded_rows(min(max(rows, 1), ENCODE_ROWS), cfg.stream.dims)
 
 
-def _encode(state, xs, indices):
+def _encode(encoder, cfg, xs, indices):
     """Aggregated encoder features as a plain array, bitwise independent of
     the batch: blocks of :func:`_block_rows` rows, each padded with zero rows
     (sample index 0) to :func:`_padded_rows`, and the padding dropped. The
     encoder is frozen, so nothing upstream ever needs gradients."""
-    out = np.empty((len(xs),) + feature_shape(state.cfg))
-    dims, block = state.cfg.stream.dims, _block_rows(state.cfg)
+    out = np.empty((len(xs),) + feature_shape(cfg))
+    dims, block = cfg.stream.dims, _block_rows(cfg)
     for start in range(0, len(xs), block):
         sl = slice(start, start + block)
         x, idx = xs[sl], indices[sl]
@@ -276,7 +276,7 @@ def _encode(state, xs, indices):
             x = np.concatenate([x, np.zeros((pad,) + x.shape[1:])])
             idx = np.concatenate([idx, np.zeros(pad, dtype=idx.dtype)])
         with no_grad():
-            h = state.encoder.features(Tensor(x), state.cfg.encoder.aggregate_mode, indices=idx)
+            h = encoder.features(Tensor(x), cfg.encoder.aggregate_mode, indices=idx)
         out[sl] = h.data[:b]
     return out
 
@@ -322,14 +322,12 @@ class FeatureEncoder:
     :class:`FeatureMemo` of MEMO_ROWS entries, test rows (``draws`` None)
     afresh; see :func:`_encode`."""
 
-    def __init__(self, state):
-        # weak, so that a run's state is freed as soon as it is dropped, not by the cycle collector
-        self.state, self.memo = weakref.proxy(state), FeatureMemo(MEMO_ROWS)
+    def __init__(self, encoder, cfg):
+        self.encoder, self.cfg, self.memo = encoder, cfg, FeatureMemo(MEMO_ROWS)
 
     def __call__(self, xs, indices, draws=None):
-        if draws is None:
-            return _encode(self.state, xs, indices)
-        return self.memo.features(xs, indices, draws, lambda x, idx: _encode(self.state, x, idx))
+        encode = functools.partial(_encode, self.encoder, self.cfg)
+        return encode(xs, indices) if draws is None else self.memo.features(xs, indices, draws, encode)
 
 
 class _Update(NamedTuple):
@@ -402,14 +400,13 @@ class Trainer:
             buffer = RingBuffer(cfg.replay.capacity)
         else:
             buffer = ReservoirBuffer(cfg.replay.capacity)
-        state = ExperimentState(
+        return ExperimentState(
             cfg=cfg, stream=stream, encoder=encoder, classifier=classifier,
             optimizer=SGD(classifier.params(), cfg.train.lr), buffer=buffer,
             matrix=AccuracyMatrix(stream.n_tasks), heads=heads,
             rngs={"buffer": np.random.default_rng(ss_buffer),
-                  "augment": np.random.default_rng(ss_augment)})
-        state.features = FeatureEncoder(state)
-        return state
+                  "augment": np.random.default_rng(ss_augment)},
+            features=FeatureEncoder(encoder, cfg))
 
     # data side: model-free generators that a run's main process and its
     # feature worker both execute ----------------------------------------------
@@ -507,17 +504,22 @@ class Trainer:
             yield j
 
     def data_side(self, state):
-        """A feature worker's whole run: every task's data side in the order
-        :func:`run_experiment` consumes it, then the frozen-kernel check."""
-        kernels = state.encoder.kernel_bytes()
+        """A feature worker's whole run: the data side of :meth:`run`, in its order."""
         for t in range(state.stream.n_tasks):
             for steps in (self._train_steps(state, t), self._task_boundary(state, t + 1),
                           self._test_sets(state, t)):
                 deque(steps, maxlen=0)
-        if state.encoder.kernel_bytes() != kernels:
-            raise RuntimeError("the frozen encoder's kernels changed in the feature worker")
 
     # model side -----------------------------------------------------------
+
+    def run(self, state):
+        """The model side of a whole run: per task, train, end the task, evaluate.
+        This order is the feature pipe's protocol; :meth:`data_side` keeps it."""
+        for t in range(state.stream.n_tasks):
+            self.train_task(state, t)
+            self.end_of_task(state, t + 1)
+            self.evaluate(state, t)
+        return state
 
     def train_task(self, state, task_idx):
         """One single-pass sweep over a task's batches (0-based index)."""
@@ -535,7 +537,6 @@ class Trainer:
             state.losses_seen.append(self._update(state, step.h_cur, step.batch, rep,
                                                   teacher_logits))
             _check_finite(state.optimizer.params, task_id, step.batch_no, len(state.losses_seen))
-        return state
 
     def _update(self, state, h_cur, batch, rep, teacher_logits):
         """One SGD step on the composed objective of the stream batch, whose
@@ -561,7 +562,6 @@ class Trainer:
         """Snapshot and (for the task-aware variants) select fresh tuples."""
         for step in self._task_boundary(state, finished_task_id):
             self._snapshot(state, step)
-        return state
 
     def _snapshot(self, state, step):
         """Freeze a deep copy of the classifier as the teacher and, unless
@@ -570,7 +570,6 @@ class Trainer:
         state.tuple_set = None if step.pairs is None else build_tuple_set(
             self.cfg.loss.potential_metric, step.features, step.pairs,
             state.teacher.embed, self.cfg.loss.tau_teacher)
-        return state
 
     # evaluation -----------------------------------------------------------
 
@@ -604,22 +603,16 @@ class ExperimentResult:
 
 
 def run_experiment(cfg, seed):
-    """Full seeded run: train every task, evaluate after each, score. Each
-    process of the run uses one OpenBLAS thread; where it can, the run forks
-    a feature worker that encodes ahead of training (``worker.py``). The
-    process that encoded checks that the encoder stayed frozen."""
+    """Full seeded run: train every task, evaluate after each, score. The
+    run's process is set up in ``worker.py``: its malloc pin, one OpenBLAS
+    thread and, where it can, a feature worker that encodes ahead of training."""
     start = time.perf_counter()
     trainer = Trainer(cfg, seed)
+    pin_malloc_thresholds()
     with one_blas_thread() as blas_threads:
         state = trainer.build_state()
-        kernels = state.encoder.kernel_bytes()
         with feature_worker(state, lambda: trainer.data_side(state)) as worker:
-            for t in range(state.stream.n_tasks):
-                trainer.train_task(state, t)
-                trainer.end_of_task(state, t + 1)
-                trainer.evaluate(state, t)
-    if worker != "1" and state.encoder.kernel_bytes() != kernels:
-        raise RuntimeError("the frozen encoder's kernels changed during the run")
+            trainer.run(state)
     acc, fm, la = compute_metrics(state.matrix)
     return ExperimentResult(seed, state.matrix, {"acc": acc, "fm": fm, "la": la},
                             time.perf_counter() - start, worker, blas_threads)

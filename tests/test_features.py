@@ -17,6 +17,7 @@ from streamcl.encoder import AGGREGATE_MODES, StoredPyramidEncoder
 from streamcl.streams import CROP_PAD, NO_DRAW
 from streamcl.tensor import Tensor
 from streamcl.trainer import (
+    FeatureEncoder,
     FeatureMemo,
     Trainer,
     _block_rows,
@@ -89,7 +90,7 @@ class TestBatchIndependence:
         for b in range(1, 71):
             rows = rng.permutation(64)[:b] if b <= 64 else rng.integers(0, 64, b)
             del calls[:]
-            got = _encode(state, pool[rows], rows)
+            got = _encode(state.encoder, state.cfg, pool[rows], rows)
             assert np.array_equal(bits(got), bits(ref[rows])), f"{b} rows differ"
             # whole blocks, then the rest padded
             rest = [_padded_rows(b % block, dims)] if b % block else []
@@ -114,7 +115,7 @@ class TestEncodeTransient:
         xs = state.stream.tasks[0].train.xs[:64]
         tracemalloc.start()
         try:
-            _encode(state, xs, np.arange(64))
+            _encode(state.encoder, state.cfg, xs, np.arange(64))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -154,7 +155,7 @@ class TestMemo:
 
         def encode(xs, idx):
             encoded.append([(int(i), x.tobytes()) for i, x in zip(idx, xs)])
-            return _encode(state, xs, idx)
+            return _encode(state.encoder, state.cfg, xs, idx)
 
         for call in calls:
             keys = [(i, *DRAWS[d]) for i, d in call]
@@ -162,7 +163,7 @@ class TestMemo:
             idx, draws = np.array([k[0] for k in keys]), np.array([k[1:] for k in keys])
             before = len(encoded)
             got = memo.features(xs, idx, draws, encode)
-            assert np.array_equal(bits(got), bits(_encode(state, xs, idx)))
+            assert np.array_equal(bits(got), bits(_encode(state.encoder, state.cfg, xs, idx)))
             missing = list(dict.fromkeys(k for k in keys if k not in held))
             want = [(k[0], rows[k].tobytes()) for k in missing]
             assert encoded[before:] == ([want] if missing else [])
@@ -171,9 +172,9 @@ class TestMemo:
     def test_repeats_encode_nothing(self, monkeypatch):
         state, rows = state_for(), []
 
-        def counted(state, xs, indices):
+        def counted(encoder, cfg, xs, indices):
             rows.append(len(xs))
-            return _encode(state, xs, indices)
+            return _encode(encoder, cfg, xs, indices)
 
         monkeypatch.setattr(trainer_module, "_encode", counted)
         xs = np.random.default_rng(2).normal(size=(6, 1, 32, 32))
@@ -199,11 +200,12 @@ class TestMemo:
                   for i, c in enumerate(cfg.encoder.stage_channels)]
         state.encoder = StoredPyramidEncoder(levels, state.encoder.mixer, 1,
                                              cfg.encoder.stage_channels)
+        state.features = FeatureEncoder(state.encoder, cfg)
         xs = np.zeros((1, 1, 32, 32))
         h0 = state.features(xs, np.array([0]), no_draws(1))
         h1 = state.features(xs, np.array([1]), no_draws(1))
         assert not np.array_equal(h0, h1)
-        assert np.array_equal(bits(h1), bits(_encode(state, xs, np.array([1]))))
+        assert np.array_equal(bits(h1), bits(_encode(state.encoder, cfg, xs, np.array([1]))))
         both = state.features(np.zeros((2, 1, 32, 32)), np.array([1, 0]), no_draws(2))
         assert np.array_equal(bits(both), bits(np.concatenate([h1, h0])))
 
@@ -211,11 +213,7 @@ class TestMemo:
 def run_bytes(cfg):
     """Matrix CSV bytes and state fingerprint of a full seed-0 run."""
     trainer = Trainer(cfg, seed=0)
-    state = trainer.build_state()
-    for t in range(state.stream.n_tasks):
-        trainer.train_task(state, t)
-        trainer.end_of_task(state, t + 1)
-        trainer.evaluate(state, t)
+    state = trainer.run(trainer.build_state())
     return "\n".join(state.matrix.csv_lines()).encode(), state_fingerprint(state)
 
 
@@ -230,9 +228,9 @@ class TestWholeRun:
         cfg = parse_config_text(TINY, overrides)
         rows, encode = [], trainer_module._encode
 
-        def counted(state, xs, indices):
+        def counted(encoder, cfg, xs, indices):
             rows.append(len(xs))
-            return encode(state, xs, indices)
+            return encode(encoder, cfg, xs, indices)
 
         monkeypatch.setattr(trainer_module, "_encode", counted)
         memo = run_bytes(cfg)

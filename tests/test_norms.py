@@ -518,11 +518,7 @@ class TestFusedNode:
         # running statistics and the SGD trajectory over two tasks, not one call
         def run():
             trainer = Trainer(parse_config_text(TOY_RUN.format(kind=kind)), seed=0)
-            state = trainer.build_state()
-            for t in range(state.stream.n_tasks):
-                trainer.train_task(state, t)
-                trainer.end_of_task(state, t + 1)
-                trainer.evaluate(state, t)
+            state = trainer.run(trainer.build_state())
             return state_fingerprint(state), state.matrix.a.tobytes()
 
         shipped = run()

@@ -750,11 +750,7 @@ class TestGradientChecks:
         assert all(passed for _, passed, _ in checks.run_all())
         trainer = Trainer(parse_config_text(
             "[stream]\ntasks = 2\nsamples_per_task = 30\ntest_samples = 20\n"), seed=0)
-        state = trainer.build_state()
-        for t in range(state.stream.n_tasks):
-            trainer.train_task(state, t)
-            trainer.end_of_task(state, t + 1)
-            trainer.evaluate(state, t)
+        trainer.run(trainer.build_state())
         assert called == self.backward_rules()
 
 

@@ -54,12 +54,7 @@ def inline_run(cfg, seed):
     """A whole run through the trainer's own loop, encoding in this process;
     returns the final state."""
     trainer = Trainer(cfg, seed)
-    state = trainer.build_state()
-    for t in range(state.stream.n_tasks):
-        trainer.train_task(state, t)
-        trainer.end_of_task(state, t + 1)
-        trainer.evaluate(state, t)
-    return state
+    return trainer.run(trainer.build_state())
 
 
 class TestTrainTask:

@@ -48,17 +48,15 @@ n_per_task = 5
 batch = 10
 """
 
+TF = {"loss.distill_variant": "tf", "loss.new_task_classes": "2",
+      "loss.samples_per_class": "2", "replay.policy": "reservoir"}
+
 
 def inline_run(cfg, seed):
     """The trainer's own loop, encoding in this process, at one BLAS thread."""
     trainer = Trainer(cfg, seed)
     with worker.one_blas_thread():
-        state = trainer.build_state()
-        for t in range(state.stream.n_tasks):
-            trainer.train_task(state, t)
-            trainer.end_of_task(state, t + 1)
-            trainer.evaluate(state, t)
-    return state
+        return trainer.run(trainer.build_state())
 
 
 def worker_run(cfg, seed, monkeypatch):
@@ -96,8 +94,7 @@ def pyramid_cfg(tmp_path, seed):
 class TestWorkerRun:
     @pytest.mark.parametrize("overrides", [
         {},
-        {"loss.distill_variant": "tf", "loss.new_task_classes": "2",
-         "loss.samples_per_class": "2", "replay.policy": "reservoir"},
+        TF,
         {"stream.augment_ops": "crop_pad,hflip", "stream.augment": "all"},
         {"encoder.aggregate_mode": "standard"},
         None,
@@ -123,7 +120,7 @@ class TestWorkerRun:
 
     def test_a_worker_error_reaches_the_main_process(self, monkeypatch):
         # the encoder runs only in the worker; its exception is re-raised here
-        def refused(state, xs, indices):
+        def refused(encoder, cfg, xs, indices):
             raise InvalidConfig("the encoder refused")
 
         monkeypatch.setattr(trainer_module, "_encode", refused)
@@ -150,6 +147,32 @@ class TestWorkerRun:
             run_experiment(parse_config_text(TINY), 0)
         assert bool(bumped) == (cpus is not None)  # a worker run never encodes here
         assert_no_child()
+
+
+@pytest.mark.parametrize("overrides", [{}, TF], ids=["csd", "tf"])
+def test_run_and_data_side_ask_for_rows_in_one_order(overrides):
+    # the pipe's protocol: the worker's data side must ask state.features for
+    # the rows that the main process's model side asks for, in its order
+    trainer = Trainer(parse_config_text(TINY, overrides), 4)
+
+    def recorded(state):
+        requests, features = [], state.features
+
+        def asked(xs, indices, draws=None):
+            requests.append((len(xs), draws is None))
+            return features(xs, indices, draws)
+
+        state.features = asked
+        return requests
+
+    state = trainer.build_state()
+    model_side = recorded(state)
+    trainer.run(state)
+    fresh = trainer.build_state()
+    data_side = recorded(fresh)
+    trainer.data_side(fresh)
+    assert model_side == data_side
+    assert {test_rows for _, test_rows in model_side} == {True, False}
 
 
 @needs_worker

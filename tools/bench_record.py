@@ -19,6 +19,12 @@ experiment records how many pairs each other checkout won (all five metrics
 are lower-is-better), its median against the baseline's, and whether the
 medians differ by more than the baseline's interquartile range.
 
+Each checkout also runs one ``perfbench/run.py --trace 1`` of the same
+workloads and seed, and the experiment keeps its per-layer metrics
+(``per_layer``) beside the end-to-end rows. The traced encoder figures
+(``tensor.conv2d.encoder.*`` and ``encoder.*``) read 0: the encoder runs
+in the feature worker, which perfbench's tracer does not see.
+
 Each checkout also runs the default config's seed 0 once, ``streamcl run
 --seeds 0`` under ``OPENBLAS_NUM_THREADS=1``, and the experiment keeps that
 manifest's ``seed_wall_s``, ``peak_rss_mb`` and ``worker_peak_rss_mb``:
@@ -42,11 +48,12 @@ METRICS = ("wall_s", "setup_s", "batch_p50_ms", "batch_p90_ms", "peak_rss_mb")
 MANIFEST_KEYS = ("seed_wall_s", "peak_rss_mb", "worker_peak_rss_mb", "feature_worker")
 
 
-def run_once(checkout, workload, seed, seconds):
+def run_once(checkout, workload, seed, seconds, trace=0):
     """One ``perfbench/run.py`` call: (env, {workload: row}), each row holding
-    its metric values, ``attempted``, ``failed`` and ``sha256``."""
+    its metric values, ``attempted``, ``failed`` and ``sha256``; the metrics are
+    the end-to-end ones, or with ``trace`` 1 the per-layer ones."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=False)
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
@@ -61,8 +68,9 @@ def run_once(checkout, workload, seed, seconds):
             rows[info["workload"]] = {"attempted": info["attempted"], "failed": info["failed"],
                                       "sha256": info["sha256"], "metrics": {}}
     for key, metric in json.loads(lines[-1])["metrics"].items():
-        name, _, metric_name = key.rpartition(".")
-        rows[name or workload]["metrics"][metric_name] = (metric["value"], metric["unit"])
+        # "all" prefixes each metric with its workload; workload names hold no dot
+        name, _, metric_name = key.partition(".") if workload == "all" else (workload, ".", key)
+        rows[name]["metrics"][metric_name] = (metric["value"], metric["unit"])
     return env, rows
 
 
@@ -153,13 +161,21 @@ def main(argv=None):
                 for m, v in r["metrics"].items() if m in ("wall_s", "batch_p50_ms")), flush=True)
     summary = {name: {"env": envs[name], "workloads": summarize(runs[name])} for name in names}
     for name in names:
+        _, rows = run_once(checkouts[name], args.workload, args.seed, args.seconds, trace=1)
+        summary[name]["per_layer"] = {w: {"attempted": r["attempted"], "failed": r["failed"],
+                                          "sha256": r["sha256"],
+                                          "metrics": {m: {"value": v, "unit": u}
+                                                      for m, (v, u) in r["metrics"].items()}}
+                                      for w, r in rows.items()}
+        print(f"{name} per-layer: {sum(len(r['metrics']) for r in rows.values())} figures",
+              flush=True)
         summary[name]["default_seed0"] = default_seed(checkouts[name])
         print(f"{name} default seed 0: {summary[name]['default_seed0']}", flush=True)
     experiment = {
         "label": args.label,
         "recorded": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
         "command": f"perfbench/run.py --workload {args.workload} --seed {args.seed} "
-                   f"--seconds {args.seconds:g} --trace 0",
+                   f"--seconds {args.seconds:g} --trace 0; per_layer: the same with --trace 1",
         "pairs": args.pairs,
         "rows": summary,
         "against_" + names[0]: {name: compare(summary[names[0]]["workloads"],
