@@ -18,6 +18,11 @@ entry:
 - ``tiny_seed4.<variant>.state_fingerprint`` and ``.matrix``: test_worker's
   TINY config at seed 4, run through ``Trainer.run`` in this process at one
   BLAS thread, for the variants of its worker test
+- ``<workload>_seed<n>.state_fingerprint``: ``state_fingerprint`` of each seed
+  that each benchmark workload runs, and ``default_seed0.state_fingerprint``
+  of the default config's seed 0, run the same way. The CSV entries round to
+  six decimals and miss last-bit changes; these hash the final weights,
+  running statistics, buffer and generator states
 
 ``--check`` reruns every entry and names each one that differs (exit 1). It
 refuses to compare against a file made with another numpy or BLAS build
@@ -109,6 +114,14 @@ def entries(root, perfbench, tmp):
         state = worker_tests.inline_run(cfg, 4)
         yield f"tiny_seed4.{variant}.state_fingerprint", state_fingerprint(state)
         yield f"tiny_seed4.{variant}.matrix", _sha("\n".join(state.matrix.csv_lines()).encode())
+
+    for workload, count in perfbench.WORKLOADS.items():
+        cfg = cli.parse_config(str(root / "perfbench" / "workloads" / f"{workload}.cfg"))
+        for seed in range(SEED, SEED + count):
+            state = worker_tests.inline_run(cfg, seed)
+            yield f"{workload}_seed{seed}.state_fingerprint", state_fingerprint(state)
+    state = worker_tests.inline_run(parse_config_text(""), 0)
+    yield "default_seed0.state_fingerprint", state_fingerprint(state)
 
 
 def main(argv=None):
