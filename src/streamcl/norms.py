@@ -3,9 +3,9 @@
 BN, IN, LN, GN, SN and the IN/LN blend are one layer, ``MomentNorm``, that
 standardizes by the moments of the sources each kind declares; CN and the
 split-parallel module compose those layers. Each ``MomentNorm`` call is one
-autodiff node whose forward and backward replay, operation for operation, the
-arithmetic of the unrolled chain of tensor ops (moments, blend, standardize,
-affine), so its outputs and gradients are bitwise those of that chain.
+autodiff node. Its forward computes what the unrolled chain of tensor ops
+(moments, blend, standardize, affine) computes, bit for bit; its backward is
+the closed-form rule, equal to that chain's gradients up to roundoff.
 
 Every layer maps a (B,C,W,H) tensor to the same shape. Layers that use
 minibatch statistics (BN, the BN parts of SN/CN and of the split-parallel
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import operator
 from functools import reduce
-from itertools import accumulate
 
 import numpy as np
 
@@ -164,28 +163,24 @@ class MomentNorm(NormLayer):
         out = xhat if not affine else self.gamma.data * xhat + self.beta.data
 
         def backward(g):
-            # the chain's backward sweep, step for step: affine, standardize,
-            # blend, then each source's variance and mean into the input
+            # the direct term, then the gradient through the blended mean and
+            # variance into each source's moments, by that source's weights
             grads = []
             if affine:
                 grads = [_unbroadcast(g * xhat, self.gamma.shape), _unbroadcast(g, self.beta.shape)]
                 g = g * self.gamma.data
             g = g.reshape(xs.shape)
             gx = g * r
-            g_r = _unbroadcast(g * xm, r.shape)
-            g_stats = [[-_unbroadcast(gx, mean.shape)], [g_r * -0.5 * ve ** -1.5]]
-            for k, wt in enumerate(weights):
-                g_stats[k], gw = _blend_backward(g_stats[k][0], wt.data, [st[k] for st in stats])
-                grads.insert(k, gw)
-            for (m, v, d, c), gm, gv in zip(stats, *g_stats):
-                if d is None:
-                    continue
-                t = np.broadcast_to(_unbroadcast(gv * c, v.shape), d.shape) * d
-                tt = t + t
-                gx = gx + tt
-                gm = gm - _unbroadcast(tt, m.shape)
-                gx = gx + np.broadcast_to(_unbroadcast(gm * c, m.shape), xs.shape)
-            return (gx.reshape(x.shape), *grads)
+            g_mean = -_unbroadcast(gx, mean.shape)
+            g_var = _unbroadcast(g * xm, var.shape) * (-0.5 * r ** 3)
+            blend = [wt.data for wt in weights] or [np.ones(1)] * 2
+            for i, (m, v, d, c) in enumerate(stats):
+                if d is not None:
+                    gx += c * blend[0][i] * _unbroadcast(g_mean, m.shape)
+                    gx += 2 * c * blend[1][i] * _unbroadcast(g_var, v.shape) * d
+            g_blend = [np.array([np.sum(gs * st[k]) for st in stats])
+                       for k, gs in enumerate((g_mean, g_var)[:len(weights)])]
+            return (gx.reshape(x.shape), *g_blend, *grads)
 
         return _from_op(out, (x, *weights, *affine), backward)
 
@@ -195,22 +190,6 @@ class MomentNorm(NormLayer):
 
     def buffers(self):
         return self.stats.buffers(self.prefix) if self.stats else {}
-
-
-def _blend_backward(g, weights, stats):
-    """Gradients of ``w0*s0 + w1*s1 + ...`` (added left to right) for each
-    statistic and for the weights, one unbroadcast per add as the sweep
-    makes them."""
-    shapes = list(accumulate((s.shape for s in stats), np.broadcast_shapes))
-    g_terms = []
-    for j in range(len(stats) - 1, 0, -1):
-        g_terms.append(_unbroadcast(g, stats[j].shape))
-        g = _unbroadcast(g, shapes[j - 1])
-    g_terms = [g] + g_terms[::-1]
-    onehot = np.arange(len(stats))
-    gw = reduce(operator.add, (np.where(onehot == i, _unbroadcast(gt * s, ()), 0.0)
-                               for i, (gt, s) in enumerate(zip(g_terms, stats))))
-    return [gt * weights[i] for i, gt in enumerate(g_terms)], gw
 
 
 class BatchNorm(MomentNorm):

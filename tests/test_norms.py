@@ -19,7 +19,7 @@ from streamcl.norms import (
     make_norm,
 )
 from streamcl.tensor import InvalidConfig, OddChannelCount, Parameter, Tensor
-from streamcl.trainer import Trainer, state_fingerprint
+from streamcl.trainer import Trainer
 from test_tensor import moments
 
 EPS = 1e-5
@@ -416,38 +416,54 @@ def parent_norm(layer, x):
 
 
 class TestParentParity:
-    """Bitwise parity with the per-kind formulas at the classifier's norm shapes.
+    """Parity with the per-kind formulas at the classifier's norm shapes and at
+    degenerate ones: batch 1, 1x1 maps, and GN/CN with one group and with one
+    channel per group (``kind:groups``), where sources have zero variance.
 
     Inputs are conv2d outputs, whose memory layout is transposed, as in the
     classifier. Parameters are random so every blend weight and affine term
     matters; a train-mode call precedes an eval-mode call, so the running
     statistics the eval call reads are the ones the train call wrote.
+
+    The forward is the chain's arithmetic, so outputs and running statistics
+    are bitwise equal. The backward is the closed-form rule, so gradients
+    differ from the chain's by roundoff: at most 7.2e-15 of the reference's
+    largest entry at the classifier's shapes and 2.4e-14 at the degenerate
+    ones (measured, numpy 2.4.6 on OpenBLAS 0.3.31); GRAD_RTOL bounds both.
     """
 
-    @pytest.mark.parametrize("batch", [10, 64, 100])
-    @pytest.mark.parametrize("spatial", [8, 4])
-    @pytest.mark.parametrize("kind", NORM_KINDS)
+    GRAD_RTOL = 1e-13
+
+    @pytest.mark.parametrize("batch", [10, 64, 100, 1])
+    @pytest.mark.parametrize("spatial", [8, 4, 1])
+    @pytest.mark.parametrize("kind", [*NORM_KINDS, "gn:1", "gn:16", "cn:1", "cn:16"])
     def test_bitwise_equal_to_parent_formulas(self, kind, spatial, batch):
         rng = np.random.default_rng(23)
-        layer, oracle = (make_norm(kind, 16, groups=2, prefix="clf.norm1") for _ in range(2))
+        kind, _, groups = kind.partition(":")
+        layer, oracle = (make_norm(kind, 16, groups=int(groups or 2), prefix="clf.norm1")
+                         for _ in range(2))
         for p, q in zip(layer.params(), oracle.params()):
             p.data[...] = q.data[...] = rng.normal(size=p.shape)
         kernel = Tensor(rng.normal(size=(16, 4, 3, 3)))
+
+        def close(got, ref):
+            return np.abs(got - ref).max() <= self.GRAD_RTOL * np.abs(ref).max()
+
         for mode in ("train", "eval"):
             for n in (layer, oracle):
                 getattr(n, mode)()
             xs = T.conv2d(Tensor(rng.normal(size=(batch, 4, 2 * spatial, 2 * spatial))),
                           kernel, stride=2, padding=1).data
-            assert not xs.flags.c_contiguous
+            assert batch == 1 or not xs.flags.c_contiguous  # one image is both layouts
             g = Tensor(rng.normal(size=xs.shape))
             x, x_ref = Tensor(xs, requires_grad=True), Tensor(xs, requires_grad=True)
             out, ref = layer(x), parent_norm(oracle, x_ref)
             (out * g).sum().backward()
             (ref * g).sum().backward()
             assert np.array_equal(out.data, ref.data), mode
-            assert np.array_equal(x.grad, x_ref.grad), mode
+            assert close(x.grad, x_ref.grad), mode
             for p, q in zip(layer.params(), oracle.params()):
-                assert p.name == q.name and np.array_equal(p.grad, q.grad), (mode, p.name)
+                assert p.name == q.name and close(p.grad, q.grad), (mode, p.name)
                 p.grad = q.grad = None
             bufs, ref_bufs = layer.buffers(), oracle.buffers()
             assert bufs.keys() == ref_bufs.keys()
@@ -515,13 +531,20 @@ class TestFusedNode:
 
     @pytest.mark.parametrize("kind", NORM_KINDS)
     def test_whole_run_equals_parent_chain(self, kind, monkeypatch):
-        # running statistics and the SGD trajectory over two tasks, not one call
+        # running statistics and the SGD trajectory over two tasks, not one call:
+        # the accuracy matrix is bitwise the chain's, and the classifier's
+        # weights and running statistics differ from it by the gradients'
+        # roundoff (at most 4.4e-16 measured; numpy 2.4.6 on OpenBLAS 0.3.31)
         def run():
             trainer = Trainer(parse_config_text(TOY_RUN.format(kind=kind)), seed=0)
             state = trainer.run(trainer.build_state())
-            return state_fingerprint(state), state.matrix.a.tobytes()
+            return state.classifier.state(), state.matrix.a.tobytes()
 
-        shipped = run()
+        shipped, matrix = run()
         for cls in (MomentNorm, ContinualNorm, SplitParallelNorm):
             monkeypatch.setattr(cls, "__call__", parent_norm)
-        assert run() == shipped
+        ref, ref_matrix = run()
+        assert matrix == ref_matrix
+        assert shipped.keys() == ref.keys()
+        for name in ref:
+            assert np.abs(shipped[name] - ref[name]).max() <= 1e-14, name
