@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import InvalidConfig, resample, resample_matrix
+from .tensor import InvalidConfig
 
 STREAM_KINDS = ("gaussian_blobs", "rotated_patterns", "tiny_images")
-AUGMENT_OPS = ("crop_pad", "hflip", "resize")
+AUGMENT_OPS = ("crop_pad", "hflip")
 AUGMENT_APPLY = ("replay_only", "all", "none")
 
 CROP_PAD = 2
@@ -203,51 +203,36 @@ def _load_tiny_images(n_tasks, classes_per_task, samples_per_task, test_samples,
 
 # augmentation ---------------------------------------------------------------
 
-def resize_images(xs, dims):
-    if xs.shape[2] == dims and xs.shape[3] == dims:
-        return xs
-    return resample(xs, resample_matrix(xs.shape[2], dims), resample_matrix(xs.shape[3], dims))
-
-
-def _crop_pad(xs, rng):
-    b, c, w, h = xs.shape
-    padded = np.pad(xs, ((0, 0), (0, 0), (CROP_PAD, CROP_PAD), (CROP_PAD, CROP_PAD)))
-    out = np.empty_like(xs)
-    offs = rng.integers(0, 2 * CROP_PAD + 1, size=(b, 2))
-    for i in range(b):
-        ow, oh = offs[i]
-        out[i] = padded[i, :, ow:ow + w, oh:oh + h]
-    return out, offs
-
-
-def _hflip(xs, rng):
-    out = xs.copy()
-    flip = rng.random(len(xs)) < 0.5
-    out[flip] = out[flip][:, :, ::-1, :]
-    return out, flip
-
-
 def augment_batch(xs, ops, apply, rng, is_replay, target_dims=None):
-    """Label-preserving augmentation; geometric ops hit replay data only in
-    ``replay_only`` mode, while resize (when requested) applies everywhere.
-    Returns the rows and each row's draw, ``(ow, oh, flip)`` into its
-    zero-padded input (:data:`NO_DRAW` if left as it is), which fixes the row."""
+    """Each row's label-preserving augmentation draw, ``(ow, oh, flip)`` into
+    its zero-padded input (:data:`NO_DRAW` if left as it is); geometric ops hit
+    replay data only in ``replay_only`` mode. :func:`apply_draws` makes the rows."""
+    # target_dims is unused; the benchmark's tracer still passes it
     for op in ops:
         if op not in AUGMENT_OPS:
             raise InvalidConfig(f"unknown augmentation {op!r}")
     if apply not in AUGMENT_APPLY:
         raise InvalidConfig(f"unknown augmentation policy {apply!r}")
-    out = np.asarray(xs, dtype=np.float64)
-    draws = np.tile(NO_DRAW, (len(out), 1))
-    if "resize" in ops and target_dims and apply != "none":
-        out = resize_images(out, target_dims)
+    draws = np.tile(NO_DRAW, (len(xs), 1))
     if apply == "none" or (apply == "replay_only" and not is_replay):
-        return out, draws
+        return draws
     if "crop_pad" in ops:
-        out, draws[:, :2] = _crop_pad(out, rng)
+        draws[:, :2] = rng.integers(0, 2 * CROP_PAD + 1, size=(len(xs), 2))
     if "hflip" in ops:
-        out, draws[:, 2] = _hflip(out, rng)
-    return out, draws
+        draws[:, 2] = rng.random(len(xs)) < 0.5
+    return draws
+
+
+def apply_draws(xs, draws):
+    """Rows ``xs`` each under its draw ``(ow, oh, flip)``: zero-padded by
+    CROP_PAD, cropped at (ow, oh) and, if ``flip``, flipped along W."""
+    w, h = xs.shape[2:]
+    padded = np.pad(xs, ((0, 0), (0, 0), (CROP_PAD, CROP_PAD), (CROP_PAD, CROP_PAD)))
+    out = np.empty(xs.shape)
+    for i, (ow, oh, flip) in enumerate(draws.tolist()):
+        row = padded[i, :, ow:ow + w, oh:oh + h]
+        out[i] = row[:, ::-1] if flip else row
+    return out
 
 
 # metrics ---------------------------------------------------------------------

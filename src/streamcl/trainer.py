@@ -41,7 +41,8 @@ from .memory import (
     select_pseudo_task_tuples,
 )
 from .norms import make_norm
-from .streams import NO_DRAW, AccuracyMatrix, augment_batch, compute_metrics, generate_stream
+from .streams import (NO_DRAW, AccuracyMatrix, apply_draws, augment_batch, compute_metrics,
+                      generate_stream)
 from .tensor import (
     InvalidConfig,
     Parameter,
@@ -201,7 +202,7 @@ class Classifier:
 @dataclass
 class ExperimentState:
     """Everything one seeded run holds. ``features(xs, indices, draws=None)``
-    gives the features of rows ``xs`` of samples ``indices``, training rows
+    gives the features of samples ``indices`` with inputs ``xs``, training rows
     each under its augmentation draw, test rows with ``draws`` None: a
     :class:`FeatureEncoder` where this process encodes, or the feature
     worker's pipe (``worker.feature_worker``). ``test_features`` (each task's
@@ -287,7 +288,8 @@ class FeatureMemo:
     most ``rows`` entries. A miss is inserted, a hit keeps its place, and past
     ``rows`` entries the oldest insertion is dropped. The key holds no input
     bytes: a sample index's stored input never changes, and a row is a pure
-    function of that input and its augmentation draw (``augment_batch``).
+    function of that input and its augmentation draw, so only a miss is made
+    (``apply_draws``) and encoded.
     """
 
     def __init__(self, rows):
@@ -295,10 +297,10 @@ class FeatureMemo:
         self.entries = OrderedDict()
 
     def features(self, xs, indices, draws, encode):
-        """Features of the float rows ``xs``, sample ``indices`` under ``draws``;
-        ``encode(xs, indices)`` runs once on the rows the memo lacks, each
-        distinct key once: a key repeated within the call takes the features
-        of its first row."""
+        """Features of the inputs ``xs``, sample ``indices`` under ``draws``;
+        ``encode(rows, indices)`` runs once on the drawn rows the memo lacks,
+        each distinct key once: a key repeated within the call takes the
+        features of its first row."""
         keys = [(i, *d) for i, d in zip(indices.tolist(), draws.tolist())]
         found = [self.entries.get(k) for k in keys]
         first = {}  # each missing key -> the row of its first copy
@@ -307,7 +309,7 @@ class FeatureMemo:
                 first.setdefault(k, r)
         if first:
             rows = list(first.values())
-            fresh = dict(zip(first, encode(xs[rows], indices[rows])))
+            fresh = dict(zip(first, encode(apply_draws(xs[rows], draws[rows]), indices[rows])))
             for k, f in fresh.items():
                 self.entries[k] = f.copy()  # a view would keep the whole encode block alive
                 if len(self.entries) > self.rows:
@@ -419,18 +421,18 @@ class Trainer:
         cfg = self.cfg
         aug = (tuple(cfg.stream.augment_ops), cfg.stream.augment)
         for b, batch in enumerate(state.stream.train_batches(task_idx, cfg.train.batch)):
-            xs_stream, draws = augment_batch(batch.xs, aug[0], aug[1], state.rngs["augment"],
-                                             is_replay=False, target_dims=cfg.stream.dims)
-            h_cur = state.features(xs_stream, batch.indices, draws)
+            draws = augment_batch(batch.xs, aug[0], aug[1], state.rngs["augment"],
+                                  is_replay=False, target_dims=cfg.stream.dims)
+            h_cur = state.features(batch.xs, batch.indices, draws)
             replay_ready = cfg.replay.enabled and len(state.buffer) > 0
             rep = None
             for _ in range(cfg.train.inner_updates):
                 if replay_ready and (rep is None or cfg.train.replay_draw == "per_update"):
                     rbatch = buffer_sample(state.buffer, cfg.replay.replay_batch,
                                            state.rngs["buffer"])
-                    rxs, rdraws = augment_batch(rbatch.xs, aug[0], aug[1], state.rngs["augment"],
-                                                is_replay=True, target_dims=cfg.stream.dims)
-                    rep = (rbatch, state.features(rxs, rbatch.indices, rdraws))
+                    rdraws = augment_batch(rbatch.xs, aug[0], aug[1], state.rngs["augment"],
+                                           is_replay=True, target_dims=cfg.stream.dims)
+                    rep = (rbatch, state.features(rbatch.xs, rbatch.indices, rdraws))
                 yield _Update(b + 1, batch, h_cur, rep)
             if cfg.replay.enabled:
                 for i in range(len(batch.ys)):

@@ -3,12 +3,13 @@
 The encoder is frozen, so each feature row is a pure function of its sample
 and augmentation draw, and which rows a run encodes never depends on the
 classifier. After ``build_state`` a run forks one worker. Both processes run
-the same model-free data side (stream batches, augmentation, replay draws,
-buffer inserts, tuple selection, test sets), each asking ``state.features``
-for its rows. In the worker it encodes them (training rows through the memo,
-which so fills only there) and writes them to a pipe; in the main process it
-reads them in the same order, while the main does the model side. The worker
-runs ahead by up to the pipe's capacity.
+the same model-free data side (stream batches, augmentation draws, replay
+draws, buffer inserts, tuple selection, test sets), each asking
+``state.features`` for its rows. In the worker it encodes them (training rows
+through the memo, which so fills only there and makes the augmented pixels of
+its misses only) and writes them to a pipe; in the main process it reads them
+in the same order, while the main does the model side. The worker runs ahead
+by up to the pipe's capacity.
 
 Each process runs OpenBLAS on one thread, so two processes fill two cores
 without oversubscribing them, and a run's bytes do not depend on the BLAS

@@ -209,6 +209,18 @@ class TestParsing:
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("error: loss.n_per_task")
 
+    def test_resize_augment_op_rejected(self, tmp_path, capsys):
+        # the op was never applied by any run; it is refused, not ignored
+        with pytest.raises(InvalidValue) as err:
+            parse_config_text("[stream]\naugment_ops = resize\n")
+        assert err.value.path == "stream.augment_ops"
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(TINY_FILE.replace("[stream]", "[stream]\naugment_ops = resize"))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: stream.augment_ops")
+        assert not out.exists()
+
     @pytest.mark.parametrize("mode", ["standard", "bottom_up"])
     def test_penultimate_embedding_needs_top_down(self, tmp_path, capsys, mode):
         # a head-only classifier's penultimate rows are the frozen features

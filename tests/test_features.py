@@ -14,7 +14,7 @@ import streamcl.tensor as T
 import streamcl.trainer as trainer_module
 from streamcl.config import parse_config_text
 from streamcl.encoder import AGGREGATE_MODES, StoredPyramidEncoder
-from streamcl.streams import CROP_PAD, NO_DRAW
+from streamcl.streams import CROP_PAD, NO_DRAW, apply_draws
 from streamcl.tensor import Tensor
 from streamcl.trainer import (
     FeatureEncoder,
@@ -131,7 +131,7 @@ CALLS = st.lists(
 
 
 def drawn(x, draw):
-    """Input row ``x`` under ``draw = (ow, oh, flip)``, as ``augment_batch`` makes it."""
+    """Input row ``x`` under ``draw = (ow, oh, flip)``: zero-padded, cropped and flipped."""
     ow, oh, flip = draw
     w, h = x.shape[1:]
     padded = np.pad(x, ((0, 0), (CROP_PAD, CROP_PAD), (CROP_PAD, CROP_PAD)))
@@ -147,7 +147,7 @@ class TestMemo:
         # an aliased row is the same sample index under another draw. ``held`` is a
         # reference FIFO of the last 8 distinct keys inserted: a hit keeps its place,
         # so each call must encode exactly the first rows of the distinct keys it
-        # lacks, in one call
+        # lacks, drawn from the raw inputs, in one call
         state, memo = state_for(), FeatureMemo(8)
         pool = np.random.default_rng(1).normal(size=(6, 1, 32, 32))
         rows = {(i, *d): drawn(pool[i], d) for i in range(6) for d in DRAWS}
@@ -162,7 +162,7 @@ class TestMemo:
             xs = np.stack([rows[k] for k in keys])
             idx, draws = np.array([k[0] for k in keys]), np.array([k[1:] for k in keys])
             before = len(encoded)
-            got = memo.features(xs, idx, draws, encode)
+            got = memo.features(pool[idx], idx, draws, encode)
             assert np.array_equal(bits(got), bits(_encode(state.encoder, state.cfg, xs, idx)))
             missing = list(dict.fromkeys(k for k in keys if k not in held))
             want = [(k[0], rows[k].tobytes()) for k in missing]
@@ -183,12 +183,11 @@ class TestMemo:
         assert rows == [6]
         assert np.array_equal(bits(again), bits(first[[5, 0, 0, 3]]))
         flip = (CROP_PAD, CROP_PAD, 1)
-        flipped = np.stack([drawn(x, flip) for x in xs[:2]])
         draws = np.array([flip, flip, NO_DRAW, NO_DRAW])
-        mixed = state.features(np.concatenate([flipped, xs[:2]]), np.arange(4) % 2, draws)
+        mixed = state.features(xs[np.arange(4) % 2], np.arange(4) % 2, draws)
         assert rows == [6, 2]  # a new draw of a stored index is encoded
         assert np.array_equal(bits(mixed[2:]), bits(first[:2]))
-        again = state.features(flipped[::-1], np.array([1, 0]), draws[:2])
+        again = state.features(xs[[1, 0]], np.array([1, 0]), draws[:2])
         assert rows == [6, 2]  # a repeated draw is not
         assert np.array_equal(bits(again), bits(mixed[1::-1]))
 
@@ -237,7 +236,8 @@ class TestWholeRun:
         memo_rows = sum(rows)
         del rows[:]
         monkeypatch.setattr(FeatureMemo, "features",
-                            lambda memo, xs, indices, draws, encode: encode(xs, indices))
+                            lambda memo, xs, indices, draws, encode:
+                            encode(apply_draws(xs, draws), indices))
         assert run_bytes(cfg) == memo
         assert memo_rows < sum(rows)  # the memo did serve some rows
 

@@ -18,10 +18,10 @@ from streamcl.streams import (
     NO_DRAW,
     AccuracyMatrix,
     IncompleteMatrix,
+    apply_draws,
     augment_batch,
     compute_metrics,
     generate_stream,
-    resize_images,
 )
 from streamcl.tensor import InvalidConfig, Parameter, Tensor
 
@@ -201,8 +201,8 @@ class TestAugment:
         self.xs = self.rng.normal(size=(6, 1, 32, 32))
 
     def test_none_is_identity(self):
-        out, draws = augment_batch(self.xs, ("crop_pad", "hflip"), "none", self.rng,
-                                   is_replay=True)
+        draws = augment_batch(self.xs, ("crop_pad", "hflip"), "none", self.rng, is_replay=True)
+        out = apply_draws(self.xs, draws)
         np.testing.assert_array_equal(out, self.xs)
         assert draws.tolist() == [list(NO_DRAW)] * len(self.xs)
 
@@ -211,15 +211,16 @@ class TestAugment:
         np.testing.assert_array_equal(flipped[:, :, ::-1, :], self.xs)
 
     def test_replay_only_leaves_stream_untouched(self):
-        stream_out, _ = augment_batch(self.xs, ("crop_pad",), "replay_only", self.rng,
-                                      is_replay=False)
+        stream_out = apply_draws(self.xs, augment_batch(self.xs, ("crop_pad",), "replay_only",
+                                                        self.rng, is_replay=False))
         assert hashlib.sha256(stream_out.tobytes()).digest() == hashlib.sha256(self.xs.tobytes()).digest()
-        replay_out, _ = augment_batch(self.xs, ("crop_pad",), "replay_only",
-                                      np.random.default_rng(1), is_replay=True)
+        replay_out = apply_draws(self.xs, augment_batch(self.xs, ("crop_pad",), "replay_only",
+                                                        np.random.default_rng(1), is_replay=True))
         assert replay_out.tobytes() != self.xs.tobytes()
 
     def test_crop_pad_preserves_shape(self):
-        out, _ = augment_batch(self.xs, ("crop_pad",), "all", self.rng, is_replay=False)
+        out = apply_draws(self.xs, augment_batch(self.xs, ("crop_pad",), "all", self.rng,
+                                                 is_replay=False))
         assert out.shape == self.xs.shape
 
     @settings(max_examples=60, deadline=None)
@@ -231,7 +232,8 @@ class TestAugment:
         # CROP_PAD, cropped at its (ow, oh) and flipped when its flip is set
         rng = np.random.default_rng(seed)
         xs = rng.normal(size=(rows, 2, 16, 16))
-        out, draws = augment_batch(xs, ops, apply, rng, is_replay)
+        draws = augment_batch(xs, ops, apply, rng, is_replay)
+        out = apply_draws(xs, draws)
         assert draws.shape == (rows, 3)
         padded = np.pad(xs, ((0, 0), (0, 0), (CROP_PAD, CROP_PAD), (CROP_PAD, CROP_PAD)))
         for x, got, (ow, oh, flip) in zip(padded, out, draws.tolist()):
@@ -239,15 +241,6 @@ class TestAugment:
             if flip:
                 want = want[:, ::-1, :]
             assert got.tobytes() == np.ascontiguousarray(want).tobytes()
-
-    def test_resize_identity_when_dims_match(self):
-        out = resize_images(self.xs, 32)
-        assert out is self.xs
-
-    def test_resize_downscale_constant(self):
-        const = np.full((2, 1, 32, 32), 3.25)
-        out = resize_images(const, 16)
-        np.testing.assert_allclose(out, np.full((2, 1, 16, 16), 3.25), atol=1e-12)
 
 
 class TestMetrics:

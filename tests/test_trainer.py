@@ -12,7 +12,7 @@ from streamcl.config import parse_config_text
 from streamcl.encoder import save_pyramid_file
 from streamcl.losses import POTENTIAL_METRICS, LabelOutOfRange, ce_loss, potential_matrix
 from streamcl.memory import buffer_sample
-from streamcl.streams import NO_DRAW, augment_batch
+from streamcl.streams import NO_DRAW, apply_draws, augment_batch
 from streamcl.tensor import Tensor
 from streamcl.trainer import Trainer, run_experiment, state_fingerprint
 
@@ -379,17 +379,18 @@ class TestDeterminismAndEquality:
         ref_state = Trainer(cfg, seed=7).build_state()
         expected = []
         for batch in ref_state.stream.train_batches(0, 10):
-            xs, _ = augment_batch(batch.xs, ("crop_pad",), "replay_only",
-                                  ref_state.rngs["augment"], is_replay=False, target_dims=32)
+            xs = apply_draws(batch.xs, augment_batch(batch.xs, ("crop_pad",), "replay_only",
+                                                     ref_state.rngs["augment"], is_replay=False,
+                                                     target_dims=32))
             with T.no_grad():
                 h = ref_state.encoder.features(Tensor(xs), "top_down").data
             for _ in range(2):
                 rep = None
                 if len(ref_state.buffer) > 0:
                     rb = buffer_sample(ref_state.buffer, 8, ref_state.rngs["buffer"])
-                    rxs, _ = augment_batch(rb.xs, ("crop_pad",), "replay_only",
-                                           ref_state.rngs["augment"], is_replay=True,
-                                           target_dims=32)
+                    rxs = apply_draws(rb.xs, augment_batch(rb.xs, ("crop_pad",), "replay_only",
+                                                           ref_state.rngs["augment"],
+                                                           is_replay=True, target_dims=32))
                     with T.no_grad():
                         rep = (ref_state.encoder.features(Tensor(rxs), "top_down").data, rb.ys)
                 loss = ce_loss(ref_state.classifier.forward(Tensor(h)), batch.ys)

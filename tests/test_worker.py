@@ -101,11 +101,17 @@ class TestWorkerRun:
     ], ids=["csd", "tf", "flip_all", "standard", "stored_pyramid"])
     def test_bytes_equal_the_inline_loop(self, overrides, monkeypatch, tmp_path):
         cfg = pyramid_cfg(tmp_path, 4) if overrides is None else parse_config_text(TINY, overrides)
+        calls, apply_draws = [], trainer_module.apply_draws
+        monkeypatch.setattr(trainer_module, "apply_draws",
+                            lambda *args: calls.append(1) or apply_draws(*args))
         inline = inline_run(cfg, 4)
+        inline_calls = len(calls)
         result, state = worker_run(cfg, 4, monkeypatch)
         assert result.feature_worker == "1" and result.blas_threads == 1
         assert len(state.features.memo.entries) == 0  # the memo lived in the worker
         assert len(inline.features.memo.entries) > 0
+        # pixels are made only where rows are encoded: the worker's calls are its own
+        assert inline_calls > 0 and len(calls) == inline_calls
         assert result.matrix.csv_lines() == inline.matrix.csv_lines()
         assert state_fingerprint(state) == state_fingerprint(inline)
         assert_no_child()
