@@ -205,7 +205,7 @@ class ExperimentState:
     gives the features of samples ``indices`` with inputs ``xs``, training rows
     each under its augmentation draw, test rows with ``draws`` None: a
     :class:`FeatureEncoder` where this process encodes, or the feature
-    worker's pipe (``worker.feature_worker``). ``test_features`` (each task's
+    workers' pipes (``worker.feature_worker``). ``test_features`` (each task's
     test set) is an exact cache of the frozen encoder; no output depends on it."""
 
     cfg: object
@@ -411,7 +411,7 @@ class Trainer:
             features=FeatureEncoder(encoder, cfg))
 
     # data side: model-free generators that a run's main process and its
-    # feature worker both execute ----------------------------------------------
+    # feature workers all execute ----------------------------------------------
 
     def _train_steps(self, state, task_idx):
         """The data side of :meth:`train_task`: per stream batch, its
@@ -600,14 +600,14 @@ class ExperimentResult:
     matrix: AccuracyMatrix
     metrics: dict
     seed_wall_s: float  # wall time of the run, set-up included
-    feature_worker: str  # "1", or "0 (<why the run encoded inline>)"
+    feature_worker: str  # the worker count, "2" or "1", or "0 (<why it encoded inline>)"
     blas_threads: int | None  # the OpenBLAS thread count the run set, None if it could not
 
 
 def run_experiment(cfg, seed):
     """Full seeded run: train every task, evaluate after each, score. The
     run's process is set up in ``worker.py``: its malloc pin, one OpenBLAS
-    thread and, where it can, a feature worker that encodes ahead of training."""
+    thread and, where it can, feature workers that encode ahead of training."""
     start = time.perf_counter()
     trainer = Trainer(cfg, seed)
     pin_malloc_thresholds()

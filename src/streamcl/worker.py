@@ -1,19 +1,18 @@
-"""A run's process: its malloc and BLAS pins, and the feature worker.
+"""A run's process: its malloc and BLAS pins, and the feature workers.
 
 The encoder is frozen, so each feature row is a pure function of its sample
 and augmentation draw, and which rows a run encodes never depends on the
-classifier. After ``build_state`` a run forks one worker. Both processes run
-the same model-free data side (stream batches, augmentation draws, replay
-draws, buffer inserts, tuple selection, test sets), each asking
-``state.features`` for its rows. In the worker it encodes them (training rows
-through the memo, which so fills only there and makes the augmented pixels of
-its misses only) and writes them to a pipe; in the main process it reads them
-in the same order, while the main does the model side. The worker runs ahead
-by up to the pipe's capacity.
+classifier. After ``build_state`` a run forks n feature workers: two for a
+head-only classifier, whose model side cannot keep up with one, else one.
+Every process runs the same model-free data side (stream batches, draws,
+buffer inserts, tuple selection, test sets), asking ``state.features`` for
+its rows. Worker k encodes request m where ``m % n == k``, training rows
+through its own memo, and writes it to its own pipe, up to the pipe's
+capacity ahead; the main reads it from pipe ``m % n`` for its model side.
 
-Each process runs OpenBLAS on one thread, so two processes fill two cores
+Each process runs OpenBLAS on one thread, so the processes fill two cores
 without oversubscribing them, and a run's bytes do not depend on the BLAS
-thread count it was started with. The fork happens in a process whose only
+thread count it was started with. The forks happen in a process whose only
 other threads are OpenBLAS's own pool, which OpenBLAS shuts down around a
 fork by its own handler.
 """
@@ -23,6 +22,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import itertools
 import os
 import pickle
 import signal
@@ -30,7 +30,7 @@ import sys
 
 import numpy as np
 
-PIPE_BYTES = 1 << 20  # the pipe capacity asked for: 64 default top-down rows
+PIPE_BYTES = 1 << 20  # each pipe's capacity asked for: 64 default top-down rows
 _F_SETPIPE_SZ = 1031  # Linux fcntl command
 
 
@@ -103,7 +103,7 @@ def _inline_reason():
 
 
 class FeatureWriter:
-    """The worker's end of the pipe. A frame is the int64 shape ``(rows, C, W,
+    """A worker's end of its pipe. A frame is the int64 shape ``(rows, C, W,
     H)`` of the features and their float64 bytes; a shape ``(-n, 0, 0, 0)``
     announces n bytes of a pickled exception that ended the worker."""
 
@@ -125,99 +125,121 @@ class FeatureWriter:
 
 
 class FeatureReader:
-    """``state.features`` of a main process fed by a worker: reads each frame
-    as the rows that the same call of the data side encoded there."""
+    """``state.features`` of a main process fed by n workers: reads request m
+    from pipe ``m % n``, as worker ``m % n``'s same call of the data side."""
 
-    def __init__(self, fd):
-        self.file = open(fd, "rb")  # closed by feature_worker
-
-    def _exactly(self, buf):
-        if self.file.readinto(buf) != memoryview(buf).nbytes:
-            raise RuntimeError("the feature worker ended before the run did")
+    def __init__(self, fds):
+        self.files = [open(fd, "rb") for fd in fds]  # closed by feature_worker
+        self.turns = itertools.cycle(self.files)
 
     def __call__(self, xs, indices, draws=None):
+        return self._frame(next(self.turns), len(xs))
+
+    @staticmethod
+    def _frame(file, rows):
+        def exactly(buf):
+            if file.readinto(buf) != memoryview(buf).nbytes:
+                raise RuntimeError("the feature worker ended before the run did")
+
         head = np.empty(4, dtype=np.int64)
-        self._exactly(head)
+        exactly(head)
         if head[0] < 0:
             blob = bytearray(-int(head[0]))
-            self._exactly(blob)
+            exactly(blob)
             raise pickle.loads(blob)
-        if head[0] != len(xs):
+        if head[0] != rows:
             raise RuntimeError(f"the feature worker sent {head[0]} rows "
-                               f"where the run needs {len(xs)}")
+                               f"where the run needs {rows}")
         out = np.empty(tuple(head.tolist()))
-        self._exactly(out)
+        exactly(out)
         return out
 
     def finish(self):
-        """At the end of the run: raise what ended the worker after its last frame."""
-        if self.file.peek(1):  # b"" once the worker has closed the pipe
-            self((), None)  # the worker's exception, or a frame no request asked for
+        """At the end of the run: raise what ended a worker after its last frame."""
+        for file in self.files:
+            if file.peek(1):  # b"" once the worker has closed its pipe
+                self._frame(file, 0)  # its exception, or a frame no request asked for
+
+
+def _serve(state, feed, reads, w, k, n, check_frozen):
+    """Worker k of n: run ``feed()``, writing its turns of the requests; it
+    closes ``reads``, so that it sees EPIPE once the main process is gone."""
+    code = 1
+    try:
+        for r in reads:
+            os.close(r)
+        writer, encode, turns = FeatureWriter(w), state.features, itertools.cycle(range(n))
+        # the steps are never consumed, so the worker keeps nothing it sent
+        state.features = lambda *rows: next(turns) == k and writer.write(encode(*rows))
+        try:
+            feed()
+            check_frozen("in the feature worker")
+            code = 0
+        except BrokenPipeError:  # the main process stopped reading
+            pass
+        except BaseException as exc:  # this process ends below; the main re-raises it
+            writer.fail(exc)
+    finally:
+        os._exit(code)
+
+
+def _end(pids, kill):
+    """Reap ``pids``, killing them first when ``kill``; their exit statuses."""
+    for pid in pids if kill else ():
+        os.kill(pid, signal.SIGKILL)
+    return [os.waitpid(pid, 0)[1] for pid in pids]
 
 
 @contextlib.contextmanager
 def feature_worker(state, feed):
-    """Fork a worker that runs ``feed()``, the seed's data side, with
-    ``state.features`` encoding and writing each result to the main process;
-    here ``state.features`` reads them until the block ends. Yields the
-    manifest's ``feature_worker`` entry: "1", or "0 (<reason>)" when the state
-    is left to encode inline. The process that encoded checks that the
-    encoder's kernels kept their bytes. The worker is reaped on every exit
-    from the block; it is killed unless the block completed, and it ends by
-    itself on a closed pipe when the main process dies.
-    """
+    """Fork the feature workers, each running ``feed()``, the seed's data
+    side; here ``state.features`` reads their rows until the block ends.
+    Yields the manifest's ``feature_worker`` entry: the worker count, or "0
+    (<reason>)" when the state is left to encode inline. The process that
+    encoded checks that the encoder's kernels kept their bytes. Every worker
+    is reaped on every exit from the block, killed unless the block completed,
+    and ends by itself on a closed pipe when the main process dies."""
     kernels = state.encoder.kernel_bytes()
 
     def check_frozen(where):
         if state.encoder.kernel_bytes() != kernels:
             raise RuntimeError(f"the frozen encoder's kernels changed {where}")
 
-    reason = _inline_reason()
-    if reason is None:
-        r, w = os.pipe()
-        with contextlib.suppress(OSError):
-            import fcntl
+    n = 2 if state.classifier.arch == "head_only" else 1
+    reason, pids, reads = _inline_reason(), [], []
+    try:
+        while reason is None and len(pids) < n:
+            r, w = os.pipe()
+            reads.append(r)
+            with contextlib.suppress(OSError):
+                import fcntl
 
-            fcntl.fcntl(w, _F_SETPIPE_SZ, PIPE_BYTES)
-        try:
-            pid = os.fork()
-        except OSError as exc:
-            os.close(r)
-            os.close(w)
-            reason = f"fork failed: {exc.strerror}"
+                fcntl.fcntl(w, _F_SETPIPE_SZ, PIPE_BYTES)
+            try:
+                pids.append(os.fork())
+            except OSError as exc:
+                reason = f"fork failed: {exc.strerror}"
+            if reason is None and pids[-1] == 0:  # the worker: never returns
+                _serve(state, feed, reads, w, len(pids) - 1, n, check_frozen)
+            os.close(w)  # before the next fork, so that no later worker holds it
+    finally:
+        if len(pids) < n:  # an exception, or inline: no worker is left behind
+            for r in reads:
+                os.close(r)
+            _end(pids, kill=True)
     if reason is not None:
         yield f"0 ({reason})"
         check_frozen("during the run")
         return
-    if pid == 0:  # the worker: never returns into the caller
-        code = 1
-        try:
-            os.close(r)
-            writer, encode = FeatureWriter(w), state.features
-            # the steps are never consumed, so the worker keeps nothing it sent
-            state.features = lambda *rows: writer.write(encode(*rows))
-            try:
-                feed()
-                check_frozen("in the feature worker")
-                code = 0
-            except BrokenPipeError:  # the main process stopped reading
-                pass
-            except BaseException as exc:  # this process ends below; the main re-raises it
-                writer.fail(exc)
-        finally:
-            os._exit(code)
-    os.close(w)
-    encode, state.features = state.features, FeatureReader(r)
+    encode, state.features = state.features, FeatureReader(reads)
     finished = False
     try:
-        yield "1"
+        yield str(n)
         state.features.finish()
         finished = True
     finally:
-        state.features.file.close()
+        for file in state.features.files:
+            file.close()
         state.features = encode
-        if not finished:
-            os.kill(pid, signal.SIGKILL)
-        status = os.waitpid(pid, 0)[1]
-        if finished and status != 0:
-            raise RuntimeError(f"the feature worker exited with status {status}")
+        if any(statuses := _end(pids, kill=not finished)) and finished:
+            raise RuntimeError(f"a feature worker exited with status {max(statuses)}")

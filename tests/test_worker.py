@@ -3,6 +3,7 @@ seed's rows ahead of training. A worker run is byte-identical to the
 trainer's inline loop, a run's bytes do not depend on the BLAS thread count
 it starts with, and no run leaves a process behind, however it ends."""
 
+import contextlib
 import errno
 import os
 import re
@@ -50,6 +51,7 @@ batch = 10
 
 TF = {"loss.distill_variant": "tf", "loss.new_task_classes": "2",
       "loss.samples_per_class": "2", "replay.policy": "reservoir"}
+HEAD_ONLY = {"encoder.aggregate_mode": "standard"}  # a head-only classifier: two workers
 
 
 def inline_run(cfg, seed):
@@ -92,14 +94,14 @@ def pyramid_cfg(tmp_path, seed):
 
 @needs_worker
 class TestWorkerRun:
-    @pytest.mark.parametrize("overrides", [
-        {},
-        TF,
-        {"stream.augment_ops": "crop_pad,hflip", "stream.augment": "all"},
-        {"encoder.aggregate_mode": "standard"},
-        None,
+    @pytest.mark.parametrize("overrides, workers", [
+        ({}, "1"),
+        (TF, "1"),
+        ({"stream.augment_ops": "crop_pad,hflip", "stream.augment": "all"}, "1"),
+        (HEAD_ONLY, "2"),
+        (None, "1"),
     ], ids=["csd", "tf", "flip_all", "standard", "stored_pyramid"])
-    def test_bytes_equal_the_inline_loop(self, overrides, monkeypatch, tmp_path):
+    def test_bytes_equal_the_inline_loop(self, overrides, workers, monkeypatch, tmp_path):
         cfg = pyramid_cfg(tmp_path, 4) if overrides is None else parse_config_text(TINY, overrides)
         calls, apply_draws = [], trainer_module.apply_draws
         monkeypatch.setattr(trainer_module, "apply_draws",
@@ -107,8 +109,8 @@ class TestWorkerRun:
         inline = inline_run(cfg, 4)
         inline_calls = len(calls)
         result, state = worker_run(cfg, 4, monkeypatch)
-        assert result.feature_worker == "1" and result.blas_threads == 1
-        assert len(state.features.memo.entries) == 0  # the memo lived in the worker
+        assert result.feature_worker == workers and result.blas_threads == 1
+        assert len(state.features.memo.entries) == 0  # the memos lived in the workers
         assert len(inline.features.memo.entries) > 0
         # pixels are made only where rows are encoded: the worker's calls are its own
         assert inline_calls > 0 and len(calls) == inline_calls
@@ -125,14 +127,27 @@ class TestWorkerRun:
         assert inline.matrix.csv_lines() == forked.matrix.csv_lines()
 
     def test_a_worker_error_reaches_the_main_process(self, monkeypatch):
-        # the encoder runs only in the worker; its exception is re-raised here
-        def refused(encoder, cfg, xs, indices):
-            raise InvalidConfig("the encoder refused")
+        # the encoder runs only in the workers; an exception is re-raised here
+        encode = trainer_module._encode
 
-        monkeypatch.setattr(trainer_module, "_encode", refused)
-        with pytest.raises(InvalidConfig, match="the encoder refused"):
-            run_experiment(parse_config_text(TINY), 0)
-        assert_no_child()
+        def check(cfg, refuses):
+            def refused(encoder, cfg, xs, indices):
+                if refuses(indices):
+                    raise InvalidConfig("the encoder refused")
+                return encode(encoder, cfg, xs, indices)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(trainer_module, "_encode", refused)
+                with pytest.raises(InvalidConfig, match="the encoder refused"):
+                    run_experiment(cfg, 0)
+            assert_no_child()
+
+        check(parse_config_text(TINY), lambda indices: True)
+        # head-only, only the second stream batch is refused: request 1, which
+        # the second of the two workers encodes
+        head_only = parse_config_text(TINY, HEAD_ONLY)
+        second = list(Trainer(head_only, 0).build_state().stream.train_batches(0, 10))[1]
+        check(head_only, lambda indices: np.array_equal(indices, second.indices))
 
     @pytest.mark.parametrize("cpus", [None, {0}], ids=["worker", "inline"])
     def test_a_drifting_encoder_fails_the_run(self, cpus, monkeypatch):
@@ -197,25 +212,39 @@ class TestPipeFailure:
         assert_no_child()
 
     def test_a_failed_fork_encodes_inline(self, monkeypatch, tmp_path):
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text(TINY)
+        # the only fork fails, or, head-only, the second one: the first worker
+        # is killed and reaped, and the run encodes inline
+        fork = os.fork
 
-        def run(out):
-            assert main(["run", "--config", str(cfg), "--out", str(out), "--seeds", "3"]) == 0
-            return out
+        def check(text, workers):
+            cfg = tmp_path / f"exp{workers}.cfg"
+            cfg.write_text(text)
+            forks = []
 
-        def failing():
-            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            def run(out):
+                assert main(["run", "--config", str(cfg), "--out", str(out), "--seeds", "3"]) == 0
+                return out
 
-        forked = run(tmp_path / "forked")
-        monkeypatch.setattr(os, "fork", failing)
-        inline = run(tmp_path / "inline")
-        manifest = (inline / "manifest.txt").read_text()
-        assert re.search(r"^feature_worker = 0 \(fork failed: .+\)$", manifest, re.M), manifest
-        assert "feature_worker = 1\n" in (forked / "manifest.txt").read_text()
-        for name in ("matrix_3.csv", "metrics.txt"):
-            assert (inline / name).read_bytes() == (forked / name).read_bytes()
-        assert_no_child()
+            def failing():
+                forks.append(1)
+                if len(forks) < workers:  # every fork but the last one works
+                    return fork()
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+            forked = run(tmp_path / f"forked{workers}")
+            with monkeypatch.context() as patch:
+                patch.setattr(os, "fork", failing)
+                inline = run(tmp_path / f"inline{workers}")
+            assert len(forks) == workers
+            manifest = (inline / "manifest.txt").read_text()
+            assert re.search(r"^feature_worker = 0 \(fork failed: .+\)$", manifest, re.M), manifest
+            assert f"feature_worker = {workers}\n" in (forked / "manifest.txt").read_text()
+            for name in ("matrix_3.csv", "metrics.txt"):
+                assert (inline / name).read_bytes() == (forked / name).read_bytes()
+            assert_no_child()
+
+        check(TINY, 1)
+        check(TINY.replace("[encoder]\n", "[encoder]\naggregate_mode = standard\n"), 2)
 
 
 def test_one_blas_thread_restores_the_count():
@@ -304,6 +333,16 @@ def children(pid):
     return sorted(kids)
 
 
+def pipes(pid):
+    """The pipes that ``pid`` holds an end of, as ``pipe:[<inode>]``."""
+    held = set()
+    for fd in Path(f"/proc/{pid}/fd").iterdir():
+        with contextlib.suppress(OSError):  # closed while listed
+            if (link := os.readlink(fd)).startswith("pipe:"):
+                held.add(link)
+    return held
+
+
 def running(pid):
     """Whether ``pid`` exists and has not exited (a zombie has)."""
     try:
@@ -315,27 +354,38 @@ def running(pid):
 @needs_worker
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
 def test_killed_run_leaves_no_worker(tmp_path):
-    cfg = tmp_path / "exp.cfg"
-    cfg.write_text("[stream]\nsamples_per_task = 200\n")
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.Popen(
-        [sys.executable, "-c", "import sys; from streamcl.cli import main; sys.exit(main())",
-         "run", "--config", str(cfg), "--out", str(tmp_path / "out"), "--seeds", "0"],
-        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-    try:
-        deadline, kids = time.monotonic() + 60, []
-        while not kids and proc.poll() is None and time.monotonic() < deadline:
-            time.sleep(0.05)
-            kids = children(proc.pid)
-        assert kids, "no feature worker appeared"
-        time.sleep(0.5)  # into training
-        assert proc.poll() is None
-        proc.send_signal(signal.SIGKILL)
-        proc.wait()
-        deadline = time.monotonic() + 5
-        while any(running(k) for k in kids) and time.monotonic() < deadline:
-            time.sleep(0.05)
-        assert not any(running(k) for k in kids)
-    finally:
-        proc.kill()
-        proc.wait()
+    # every worker must see its pipe close when the main process dies: none
+    # may hold an end of another worker's pipe
+    def check(text, workers):
+        cfg = tmp_path / f"exp{workers}.cfg"
+        cfg.write_text(text)
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", "import sys; from streamcl.cli import main; sys.exit(main())",
+             "run", "--config", str(cfg), "--out", str(tmp_path / f"out{workers}"), "--seeds", "0"],
+            env=env, stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL)
+        try:
+            deadline, kids = time.monotonic() + 60, []
+            while not kids and proc.poll() is None and time.monotonic() < deadline:
+                time.sleep(0.05)
+                kids = children(proc.pid)
+            assert kids, "no feature worker appeared"
+            time.sleep(0.5)  # into training
+            kids = sorted(set(kids) | set(children(proc.pid)))
+            assert proc.poll() is None
+            assert len(kids) == workers
+            held = [pipes(k) for k in kids]
+            assert all(held) and len(set().union(*held)) == sum(map(len, held)), held
+            proc.send_signal(signal.SIGKILL)
+            proc.wait()
+            deadline = time.monotonic() + 5
+            while any(running(k) for k in kids) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(running(k) for k in kids)
+        finally:
+            proc.kill()
+            proc.wait()
+
+    check("[stream]\nsamples_per_task = 200\n", 1)
+    check("[stream]\nsamples_per_task = 600\n[encoder]\naggregate_mode = standard\n", 2)

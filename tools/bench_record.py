@@ -23,13 +23,14 @@ Each checkout also runs one ``perfbench/run.py --trace 1`` of the same
 workloads and seed, and the experiment keeps its per-layer metrics
 (``per_layer``) beside the end-to-end rows. The traced encoder figures
 (``tensor.conv2d.encoder.*`` and ``encoder.*``) read 0: the encoder runs
-in the feature worker, which perfbench's tracer does not see.
+in the feature workers, which perfbench's tracer does not see.
 
 Each checkout also runs the default config's seed 0 once, ``streamcl run
 --seeds 0`` under ``OPENBLAS_NUM_THREADS=1``, and the experiment keeps that
 manifest's ``seed_wall_s``, ``peak_rss_mb`` and ``worker_peak_rss_mb``:
 perfbench's ``peak_rss_mb`` counts its own process only (``RUSAGE_SELF``),
-not the feature worker that a run forks.
+not the feature workers that a run forks (``worker_peak_rss_mb`` is the
+largest of their peaks).
 """
 
 from __future__ import annotations
