@@ -3,15 +3,15 @@
 The encoder is frozen, so each feature row is a pure function of its sample
 and augmentation draw, and which rows a run encodes never depends on the
 classifier. After ``build_state`` a run forks n feature workers: two for a
-head-only classifier, whose model side cannot keep up with one, else one.
+head-only classifier, whose model side outruns one worker, else one.
 Every process runs the same model-free data side (stream batches, draws,
 buffer inserts, tuple selection, test sets), asking ``state.features`` for
 its rows. Worker k encodes request m where ``m % n == k``, training rows
 through its own memo, and writes it to its own pipe, up to the pipe's
 capacity ahead; the main reads it from pipe ``m % n`` for its model side.
 
-Each process runs OpenBLAS on one thread, so the processes fill two cores
-without oversubscribing them, and a run's bytes do not depend on the BLAS
+Each process runs OpenBLAS on one thread, so no BLAS threads compete with
+the processes for the cores, and a run's bytes do not depend on the BLAS
 thread count it was started with. The forks happen in a process whose only
 other threads are OpenBLAS's own pool, which OpenBLAS shuts down around a
 fork by its own handler.
