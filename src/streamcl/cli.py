@@ -206,11 +206,9 @@ def cmd_ablate(args):
 
 def cmd_check(args):
     results = checks.run_all(inject_fault=args.inject_fault)
-    failed = 0
     for name, passed, detail in results:
         print(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
-        failed += 0 if passed else 1
-    return 1 if failed else 0
+    return 0 if all(passed for _, passed, _ in results) else 1
 
 
 def build_parser():

@@ -1,20 +1,17 @@
 """A run's process: its malloc and BLAS pins, and the feature workers.
 
 The encoder is frozen, so each feature row is a pure function of its sample
-and augmentation draw, and which rows a run encodes never depends on the
-classifier. After ``build_state`` a run forks n feature workers: two for a
-head-only classifier, whose model side outruns one worker, else one.
-Every process runs the same model-free data side (stream batches, draws,
-buffer inserts, tuple selection, test sets), asking ``state.features`` for
-its rows. Worker k encodes request m where ``m % n == k``, training rows
-through its own memo, and writes it to its own pipe, up to the pipe's
-capacity ahead; the main reads it from pipe ``m % n`` for its model side.
+and draw, and which rows a run encodes never depends on the classifier. A
+run forks two feature workers for a head-only classifier, whose model side
+outruns one, else one. Every process runs the same model-free data side,
+asking ``state.features`` for its rows; the worker whose turn a request is
+(``_turn``) encodes it, training rows through its own memo, and writes it to
+its own pipe, up to the pipe's capacity ahead, for the main's model side.
 
 Each process runs OpenBLAS on one thread, so no BLAS threads compete with
-the processes for the cores, and a run's bytes do not depend on the BLAS
-thread count it was started with. The forks happen in a process whose only
-other threads are OpenBLAS's own pool, which OpenBLAS shuts down around a
-fork by its own handler.
+the processes for the cores and a run's bytes do not depend on the thread
+count it started with. The forks happen where the only other threads are
+OpenBLAS's pool, which OpenBLAS shuts down around a fork by its own handler.
 """
 
 from __future__ import annotations
@@ -22,7 +19,6 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
-import itertools
 import os
 import pickle
 import signal
@@ -102,6 +98,15 @@ def _inline_reason():
     return None
 
 
+def _turn(load, rows):
+    """The worker that takes a request of ``rows`` rows: the first with the
+    fewest rows in ``load``, which counts them. Every process makes the same
+    calls, so all agree, and rows split evenly whatever the requests' sizes."""
+    k = load.index(min(load))
+    load[k] += rows
+    return k
+
+
 class FeatureWriter:
     """A worker's end of its pipe. A frame is the int64 shape ``(rows, C, W,
     H)`` of the features and their float64 bytes; a shape ``(-n, 0, 0, 0)``
@@ -125,15 +130,14 @@ class FeatureWriter:
 
 
 class FeatureReader:
-    """``state.features`` of a main process fed by n workers: reads request m
-    from pipe ``m % n``, as worker ``m % n``'s same call of the data side."""
+    """``state.features`` fed by n workers: reads each request from its worker's pipe."""
 
     def __init__(self, fds):
         self.files = [open(fd, "rb") for fd in fds]  # closed by feature_worker
-        self.turns = itertools.cycle(self.files)
+        self.load = [0] * len(fds)
 
     def __call__(self, xs, indices, draws=None):
-        return self._frame(next(self.turns), len(xs))
+        return self._frame(self.files[_turn(self.load, len(xs))], len(xs))
 
     @staticmethod
     def _frame(file, rows):
@@ -168,9 +172,9 @@ def _serve(state, feed, reads, w, k, n, check_frozen):
     try:
         for r in reads:
             os.close(r)
-        writer, encode, turns = FeatureWriter(w), state.features, itertools.cycle(range(n))
+        writer, encode, load = FeatureWriter(w), state.features, [0] * n
         # the steps are never consumed, so the worker keeps nothing it sent
-        state.features = lambda *rows: next(turns) == k and writer.write(encode(*rows))
+        state.features = lambda xs, *rest: _turn(load, len(xs)) == k and writer.write(encode(xs, *rest))
         try:
             feed()
             check_frozen("in the feature worker")
@@ -192,13 +196,12 @@ def _end(pids, kill):
 
 @contextlib.contextmanager
 def feature_worker(state, feed):
-    """Fork the feature workers, each running ``feed()``, the seed's data
-    side; here ``state.features`` reads their rows until the block ends.
-    Yields the manifest's ``feature_worker`` entry: the worker count, or "0
-    (<reason>)" when the state is left to encode inline. The process that
-    encoded checks that the encoder's kernels kept their bytes. Every worker
-    is reaped on every exit from the block, killed unless the block completed,
-    and ends by itself on a closed pipe when the main process dies."""
+    """Fork the feature workers, each running ``feed()``, the seed's data side;
+    here ``state.features`` reads their rows until the block ends. Yields the
+    manifest's ``feature_worker``: the worker count, or "0 (<reason>)" when the
+    state encodes inline. The process that encoded checks the encoder's kernel
+    bytes. Every worker is reaped on every exit, killed unless the block
+    completed, and ends by itself on a closed pipe when the main process dies."""
     kernels = state.encoder.kernel_bytes()
 
     def check_frozen(where):
@@ -213,7 +216,6 @@ def feature_worker(state, feed):
             reads.append(r)
             with contextlib.suppress(OSError):
                 import fcntl
-
                 fcntl.fcntl(w, _F_SETPIPE_SZ, PIPE_BYTES)
             try:
                 pids.append(os.fork())

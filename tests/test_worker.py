@@ -99,8 +99,9 @@ class TestWorkerRun:
         (TF, "1"),
         ({"stream.augment_ops": "crop_pad,hflip", "stream.augment": "all"}, "1"),
         (HEAD_ONLY, "2"),
+        ({**HEAD_ONLY, "train.inner_updates": "1"}, "2"),
         (None, "1"),
-    ], ids=["csd", "tf", "flip_all", "standard", "stored_pyramid"])
+    ], ids=["csd", "tf", "flip_all", "standard", "standard_one_update", "stored_pyramid"])
     def test_bytes_equal_the_inline_loop(self, overrides, workers, monkeypatch, tmp_path):
         cfg = pyramid_cfg(tmp_path, 4) if overrides is None else parse_config_text(TINY, overrides)
         calls, apply_draws = [], trainer_module.apply_draws
@@ -168,6 +169,18 @@ class TestWorkerRun:
             run_experiment(parse_config_text(TINY), 0)
         assert bool(bumped) == (cpus is not None)  # a worker run never encodes here
         assert_no_child()
+
+
+@pytest.mark.parametrize("sizes", [(10, 64, 64), (10, 64), (64, 10)],
+                         ids=["two_updates", "one_update", "replay_first"])
+def test_workers_share_the_rows_evenly(sizes):
+    # a head-only batch asks for its stream rows, then for one replay draw per
+    # inner update: with two requests a batch, turns by request count would
+    # give one worker every stream request and the other every replay draw
+    load = [0, 0]
+    turns = [worker._turn(load, rows) for rows in sizes * 50]
+    assert turns[:2] == [0, 1]
+    assert abs(load[0] - load[1]) <= max(sizes)
 
 
 @pytest.mark.parametrize("overrides", [{}, TF], ids=["csd", "tf"])
