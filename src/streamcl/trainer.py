@@ -205,8 +205,9 @@ class ExperimentState:
     gives the features of samples ``indices`` with inputs ``xs``, training rows
     each under its augmentation draw, test rows with ``draws`` None: a
     :class:`FeatureEncoder` where this process encodes, or the feature
-    workers' pipes (``worker.feature_worker``). ``test_features`` (each task's
-    test set) is an exact cache of the frozen encoder; no output depends on it."""
+    worker's pipe beside it (``worker.feature_worker``). ``test_features``
+    (each task's test set) is an exact cache of the frozen encoder; no output
+    depends on it."""
 
     cfg: object
     stream: object
@@ -411,7 +412,7 @@ class Trainer:
             features=FeatureEncoder(encoder, cfg))
 
     # data side: model-free generators that a run's main process and its
-    # feature workers all execute ----------------------------------------------
+    # feature worker both execute ----------------------------------------------
 
     def _train_steps(self, state, task_idx):
         """The data side of :meth:`train_task`: per stream batch, its
@@ -506,7 +507,7 @@ class Trainer:
             yield j
 
     def data_side(self, state):
-        """A feature worker's whole run: the data side of :meth:`run`, in its order."""
+        """The feature worker's whole run: the data side of :meth:`run`, in its order."""
         for t in range(state.stream.n_tasks):
             for steps in (self._train_steps(state, t), self._task_boundary(state, t + 1),
                           self._test_sets(state, t)):
@@ -600,14 +601,14 @@ class ExperimentResult:
     matrix: AccuracyMatrix
     metrics: dict
     seed_wall_s: float  # wall time of the run, set-up included
-    feature_worker: str  # the worker count, "2" or "1", or "0 (<why it encoded inline>)"
+    feature_worker: str  # "1" when a feature worker ran, or "0 (<why it encoded inline>)"
     blas_threads: int | None  # the OpenBLAS thread count the run set, None if it could not
 
 
 def run_experiment(cfg, seed):
     """Full seeded run: train every task, evaluate after each, score. The
     run's process is set up in ``worker.py``: its malloc pin, one OpenBLAS
-    thread and, where it can, feature workers that encode ahead of training."""
+    thread and, where it can, a feature worker that encodes ahead of training."""
     start = time.perf_counter()
     trainer = Trainer(cfg, seed)
     pin_malloc_thresholds()

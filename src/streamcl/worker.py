@@ -1,16 +1,18 @@
-"""A run's process: its malloc and BLAS pins, and the feature workers.
+"""A run's process: its malloc and BLAS pins, and the feature worker.
 
 The encoder is frozen, so each feature row is a pure function of its sample
 and draw, and which rows a run encodes never depends on the classifier. A
-run forks two feature workers for a head-only classifier, whose model side
-outruns one, else one. Every process runs the same model-free data side,
-asking ``state.features`` for its rows; the worker whose turn a request is
-(``_turn``) encodes it, training rows through its own memo, and writes it to
-its own pipe, up to the pipe's capacity ahead, for the main's model side.
+run forks one feature worker, which runs the model-free data side, asking
+``state.features`` for its rows, as the main's model side does. The requests
+split by rows (``_turn``) into two shares for a head-only classifier, whose
+model side outruns one encoding process, else into one. The worker encodes
+share 0, training rows through its own memo, and writes it to its pipe, up
+to the pipe's capacity ahead; the main encodes share 1 through its own
+``state.features``, the encoder and memo of an inline run.
 
 Each process runs OpenBLAS on one thread, so no BLAS threads compete with
 the processes for the cores and a run's bytes do not depend on the thread
-count it started with. The forks happen where the only other threads are
+count it started with. The fork happens where the only other threads are
 OpenBLAS's pool, which OpenBLAS shuts down around a fork by its own handler.
 """
 
@@ -26,7 +28,7 @@ import sys
 
 import numpy as np
 
-PIPE_BYTES = 1 << 20  # each pipe's capacity asked for: 64 default top-down rows
+PIPE_BYTES = 1 << 20  # the pipe's capacity asked for: 64 default top-down rows
 _F_SETPIPE_SZ = 1031  # Linux fcntl command
 
 
@@ -99,16 +101,16 @@ def _inline_reason():
 
 
 def _turn(load, rows):
-    """The worker that takes a request of ``rows`` rows: the first with the
-    fewest rows in ``load``, which counts them. Every process makes the same
-    calls, so all agree, and rows split evenly whatever the requests' sizes."""
+    """The share that takes a request of ``rows`` rows: the first with the
+    fewest rows in ``load``, which counts them. Both processes make the same
+    calls, so they agree, and rows split evenly whatever the requests' sizes."""
     k = load.index(min(load))
     load[k] += rows
     return k
 
 
 class FeatureWriter:
-    """A worker's end of its pipe. A frame is the int64 shape ``(rows, C, W,
+    """The worker's end of its pipe. A frame is the int64 shape ``(rows, C, W,
     H)`` of the features and their float64 bytes; a shape ``(-n, 0, 0, 0)``
     announces n bytes of a pickled exception that ended the worker."""
 
@@ -130,19 +132,21 @@ class FeatureWriter:
 
 
 class FeatureReader:
-    """``state.features`` fed by n workers: reads each request from its worker's pipe."""
+    """``state.features`` fed by the worker: reads a request of share 0 from
+    its pipe, and encodes one of share 1 here by ``encode``."""
 
-    def __init__(self, fds):
-        self.files = [open(fd, "rb") for fd in fds]  # closed by feature_worker
-        self.load = [0] * len(fds)
+    def __init__(self, fd, encode, shares):
+        self.file = open(fd, "rb")  # closed by feature_worker
+        self.encode, self.load = encode, [0] * shares
 
     def __call__(self, xs, indices, draws=None):
-        return self._frame(self.files[_turn(self.load, len(xs))], len(xs))
+        if _turn(self.load, len(xs)):
+            return self.encode(xs, indices, draws)
+        return self._frame(len(xs))
 
-    @staticmethod
-    def _frame(file, rows):
+    def _frame(self, rows):
         def exactly(buf):
-            if file.readinto(buf) != memoryview(buf).nbytes:
+            if self.file.readinto(buf) != memoryview(buf).nbytes:
                 raise RuntimeError("the feature worker ended before the run did")
 
         head = np.empty(4, dtype=np.int64)
@@ -159,22 +163,20 @@ class FeatureReader:
         return out
 
     def finish(self):
-        """At the end of the run: raise what ended a worker after its last frame."""
-        for file in self.files:
-            if file.peek(1):  # b"" once the worker has closed its pipe
-                self._frame(file, 0)  # its exception, or a frame no request asked for
+        """At the end of the run: raise what ended the worker after its last frame."""
+        if self.file.peek(1):  # b"" once the worker has closed its pipe
+            self._frame(0)  # its exception, or a frame no request asked for
 
 
-def _serve(state, feed, reads, w, k, n, check_frozen):
-    """Worker k of n: run ``feed()``, writing its turns of the requests; it
-    closes ``reads``, so that it sees EPIPE once the main process is gone."""
+def _serve(state, feed, r, w, shares, check_frozen):
+    """The worker: run ``feed()``, writing share 0 of the requests; it closes
+    the read end ``r``, so that it sees EPIPE once the main process is gone."""
     code = 1
     try:
-        for r in reads:
-            os.close(r)
-        writer, encode, load = FeatureWriter(w), state.features, [0] * n
+        os.close(r)
+        writer, encode, load = FeatureWriter(w), state.features, [0] * shares
         # the steps are never consumed, so the worker keeps nothing it sent
-        state.features = lambda xs, *rest: _turn(load, len(xs)) == k and writer.write(encode(xs, *rest))
+        state.features = lambda xs, *rest: _turn(load, len(xs)) == 0 and writer.write(encode(xs, *rest))
         try:
             feed()
             check_frozen("in the feature worker")
@@ -187,61 +189,51 @@ def _serve(state, feed, reads, w, k, n, check_frozen):
         os._exit(code)
 
 
-def _end(pids, kill):
-    """Reap ``pids``, killing them first when ``kill``; their exit statuses."""
-    for pid in pids if kill else ():
-        os.kill(pid, signal.SIGKILL)
-    return [os.waitpid(pid, 0)[1] for pid in pids]
-
-
 @contextlib.contextmanager
 def feature_worker(state, feed):
-    """Fork the feature workers, each running ``feed()``, the seed's data side;
-    here ``state.features`` reads their rows until the block ends. Yields the
-    manifest's ``feature_worker``: the worker count, or "0 (<reason>)" when the
-    state encodes inline. The process that encoded checks the encoder's kernel
-    bytes. Every worker is reaped on every exit, killed unless the block
-    completed, and ends by itself on a closed pipe when the main process dies."""
+    """Fork the feature worker, running ``feed()``, the seed's data side; here
+    ``state.features`` reads the worker's share of the rows and encodes the
+    main's until the block ends. Yields the manifest's ``feature_worker``: "1",
+    or "0 (<reason>)" when the state encodes inline. Each process that encoded
+    checks the encoder's kernel bytes. The worker is reaped on every exit,
+    killed unless the block completed, and ends by itself on a closed pipe
+    when the main process dies."""
     kernels = state.encoder.kernel_bytes()
 
     def check_frozen(where):
         if state.encoder.kernel_bytes() != kernels:
             raise RuntimeError(f"the frozen encoder's kernels changed {where}")
 
-    n = 2 if state.classifier.arch == "head_only" else 1
-    reason, pids, reads = _inline_reason(), [], []
-    try:
-        while reason is None and len(pids) < n:
-            r, w = os.pipe()
-            reads.append(r)
-            with contextlib.suppress(OSError):
-                import fcntl
-                fcntl.fcntl(w, _F_SETPIPE_SZ, PIPE_BYTES)
-            try:
-                pids.append(os.fork())
-            except OSError as exc:
-                reason = f"fork failed: {exc.strerror}"
-            if reason is None and pids[-1] == 0:  # the worker: never returns
-                _serve(state, feed, reads, w, len(pids) - 1, n, check_frozen)
-            os.close(w)  # before the next fork, so that no later worker holds it
-    finally:
-        if len(pids) < n:  # an exception, or inline: no worker is left behind
-            for r in reads:
-                os.close(r)
-            _end(pids, kill=True)
+    shares = 2 if state.classifier.arch == "head_only" else 1
+    reason = _inline_reason()
+    if reason is None:
+        r, w = os.pipe()
+        with contextlib.suppress(OSError):
+            import fcntl
+            fcntl.fcntl(w, _F_SETPIPE_SZ, PIPE_BYTES)
+        try:
+            pid = os.fork()
+        except OSError as exc:
+            reason = f"fork failed: {exc.strerror}"
+            os.close(r)
+        if reason is None and pid == 0:  # the worker: never returns
+            _serve(state, feed, r, w, shares, check_frozen)
+        os.close(w)
     if reason is not None:
         yield f"0 ({reason})"
-        check_frozen("during the run")
-        return
-    encode, state.features = state.features, FeatureReader(reads)
-    finished = False
-    try:
-        yield str(n)
-        state.features.finish()
-        finished = True
-    finally:
-        for file in state.features.files:
-            file.close()
-        state.features = encode
-        if any(statuses := _end(pids, kill=not finished)) and finished:
-            raise RuntimeError(f"a feature worker exited with status {max(statuses)}")
+    else:
+        encode, state.features = state.features, FeatureReader(r, state.features, shares)
+        finished = False
+        try:
+            yield "1"
+            state.features.finish()
+            finished = True
+        finally:
+            state.features.file.close()
+            state.features = encode
+            if not finished:
+                os.kill(pid, signal.SIGKILL)
+            status = os.waitpid(pid, 0)[1]
+        if status:
+            raise RuntimeError(f"the feature worker exited with status {status}")
+    check_frozen("during the run")

@@ -1,9 +1,9 @@
 """The feature worker (``streamcl.worker``): a forked process that encodes a
-seed's rows ahead of training. A worker run is byte-identical to the
+seed's rows ahead of training, beside the main process's own share of a
+head-only run's rows. A worker run is byte-identical to the
 trainer's inline loop, a run's bytes do not depend on the BLAS thread count
 it starts with, and no run leaves a process behind, however it ends."""
 
-import contextlib
 import errno
 import os
 import re
@@ -51,7 +51,7 @@ batch = 10
 
 TF = {"loss.distill_variant": "tf", "loss.new_task_classes": "2",
       "loss.samples_per_class": "2", "replay.policy": "reservoir"}
-HEAD_ONLY = {"encoder.aggregate_mode": "standard"}  # a head-only classifier: two workers
+HEAD_ONLY = {"encoder.aggregate_mode": "standard"}  # a head-only classifier: two shares
 
 
 def inline_run(cfg, seed):
@@ -94,15 +94,15 @@ def pyramid_cfg(tmp_path, seed):
 
 @needs_worker
 class TestWorkerRun:
-    @pytest.mark.parametrize("overrides, workers", [
-        ({}, "1"),
-        (TF, "1"),
-        ({"stream.augment_ops": "crop_pad,hflip", "stream.augment": "all"}, "1"),
-        (HEAD_ONLY, "2"),
-        ({**HEAD_ONLY, "train.inner_updates": "1"}, "2"),
-        (None, "1"),
+    @pytest.mark.parametrize("overrides, main_encodes", [
+        ({}, False),
+        (TF, False),
+        ({"stream.augment_ops": "crop_pad,hflip", "stream.augment": "all"}, False),
+        (HEAD_ONLY, True),
+        ({**HEAD_ONLY, "train.inner_updates": "1"}, True),
+        (None, False),
     ], ids=["csd", "tf", "flip_all", "standard", "standard_one_update", "stored_pyramid"])
-    def test_bytes_equal_the_inline_loop(self, overrides, workers, monkeypatch, tmp_path):
+    def test_bytes_equal_the_inline_loop(self, overrides, main_encodes, monkeypatch, tmp_path):
         cfg = pyramid_cfg(tmp_path, 4) if overrides is None else parse_config_text(TINY, overrides)
         calls, apply_draws = [], trainer_module.apply_draws
         monkeypatch.setattr(trainer_module, "apply_draws",
@@ -110,11 +110,16 @@ class TestWorkerRun:
         inline = inline_run(cfg, 4)
         inline_calls = len(calls)
         result, state = worker_run(cfg, 4, monkeypatch)
-        assert result.feature_worker == workers and result.blas_threads == 1
-        assert len(state.features.memo.entries) == 0  # the memos lived in the workers
+        assert result.feature_worker == "1" and result.blas_threads == 1
+        # a full classifier's memo lived in the worker; a head-only run's main
+        # process encodes its own share through its own memo
+        assert (len(state.features.memo.entries) > 0) == main_encodes
         assert len(inline.features.memo.entries) > 0
-        # pixels are made only where rows are encoded: the worker's calls are its own
-        assert inline_calls > 0 and len(calls) == inline_calls
+        # pixels are made only where rows are encoded: the worker's calls are
+        # its own, and the main process makes those of its share only
+        main_calls = len(calls) - inline_calls
+        assert inline_calls > 0
+        assert 0 < main_calls < inline_calls if main_encodes else main_calls == 0
         assert result.matrix.csv_lines() == inline.matrix.csv_lines()
         assert state_fingerprint(state) == state_fingerprint(inline)
         assert_no_child()
@@ -128,7 +133,8 @@ class TestWorkerRun:
         assert inline.matrix.csv_lines() == forked.matrix.csv_lines()
 
     def test_a_worker_error_reaches_the_main_process(self, monkeypatch):
-        # the encoder runs only in the workers; an exception is re-raised here
+        # an exception in the worker's encoder is re-raised here, one in the
+        # main process's share of the rows is raised here; no child is left
         encode = trainer_module._encode
 
         def check(cfg, refuses):
@@ -144,31 +150,44 @@ class TestWorkerRun:
             assert_no_child()
 
         check(parse_config_text(TINY), lambda indices: True)
-        # head-only, only the second stream batch is refused: request 1, which
-        # the second of the two workers encodes
+        # head-only, only the first stream batch is refused: request 0, the
+        # worker's share; then only the second: request 1, the main's share
         head_only = parse_config_text(TINY, HEAD_ONLY)
-        second = list(Trainer(head_only, 0).build_state().stream.train_batches(0, 10))[1]
+        first, second = list(Trainer(head_only, 0).build_state().stream.train_batches(0, 10))[:2]
+        check(head_only, lambda indices: np.array_equal(indices, first.indices))
         check(head_only, lambda indices: np.array_equal(indices, second.indices))
 
     @pytest.mark.parametrize("cpus", [None, {0}], ids=["worker", "inline"])
     def test_a_drifting_encoder_fails_the_run(self, cpus, monkeypatch):
-        # each process's first encoder call bumps a frozen kernel in place; a
-        # worker run must check the kernels of the worker, which encoded
-        features, bumped = MultiScaleEncoder.features, []
+        # the first encoder call of each process that ``bumps`` bumps a frozen
+        # kernel in place; a run must check the kernels of every process that
+        # encoded: the worker's, and the main's where it encoded
+        features, main = MultiScaleEncoder.features, os.getpid()
 
-        def drifting(enc, x, mode, indices=None):
-            if not bumped:
-                enc.stages[0].data.flat[0] += 1.0
-                bumped.append(True)
-            return features(enc, x, mode, indices=indices)
+        def check(cfg, bumps, match):
+            bumped = []
 
-        monkeypatch.setattr(MultiScaleEncoder, "features", drifting)
+            def drifting(enc, x, mode, indices=None):
+                if not bumped and bumps():
+                    enc.stages[0].data.flat[0] += 1.0
+                    bumped.append(True)
+                return features(enc, x, mode, indices=indices)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(MultiScaleEncoder, "features", drifting)
+                with pytest.raises(RuntimeError, match=match):
+                    run_experiment(cfg, 0)
+            assert_no_child()
+            return bumped
+
         if cpus is not None:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
-        with pytest.raises(RuntimeError, match="frozen encoder's kernels changed"):
-            run_experiment(parse_config_text(TINY), 0)
-        assert bool(bumped) == (cpus is not None)  # a worker run never encodes here
-        assert_no_child()
+        bumped = check(parse_config_text(TINY), lambda: True, "frozen encoder's kernels changed")
+        assert bool(bumped) == (cpus is not None)  # a full classifier's main never encodes
+        if cpus is None:  # head-only, only the main process's share drifts
+            bumped = check(parse_config_text(TINY, HEAD_ONLY), lambda: os.getpid() == main,
+                           "^the frozen encoder's kernels changed during the run$")
+            assert bumped
 
 
 @pytest.mark.parametrize("sizes", [(10, 64, 64), (10, 64), (64, 10)],
@@ -176,7 +195,7 @@ class TestWorkerRun:
 def test_workers_share_the_rows_evenly(sizes):
     # a head-only batch asks for its stream rows, then for one replay draw per
     # inner update: with two requests a batch, turns by request count would
-    # give one worker every stream request and the other every replay draw
+    # give one share every stream request and the other every replay draw
     load = [0, 0]
     turns = [worker._turn(load, rows) for rows in sizes * 50]
     assert turns[:2] == [0, 1]
@@ -225,12 +244,10 @@ class TestPipeFailure:
         assert_no_child()
 
     def test_a_failed_fork_encodes_inline(self, monkeypatch, tmp_path):
-        # the only fork fails, or, head-only, the second one: the first worker
-        # is killed and reaped, and the run encodes inline
-        fork = os.fork
-
-        def check(text, workers):
-            cfg = tmp_path / f"exp{workers}.cfg"
+        # the only fork fails, for a full or a head-only classifier: the run
+        # encodes inline
+        def check(text, name):
+            cfg = tmp_path / f"{name}.cfg"
             cfg.write_text(text)
             forks = []
 
@@ -240,24 +257,22 @@ class TestPipeFailure:
 
             def failing():
                 forks.append(1)
-                if len(forks) < workers:  # every fork but the last one works
-                    return fork()
                 raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
 
-            forked = run(tmp_path / f"forked{workers}")
+            forked = run(tmp_path / f"forked_{name}")
             with monkeypatch.context() as patch:
                 patch.setattr(os, "fork", failing)
-                inline = run(tmp_path / f"inline{workers}")
-            assert len(forks) == workers
+                inline = run(tmp_path / f"inline_{name}")
+            assert len(forks) == 1
             manifest = (inline / "manifest.txt").read_text()
             assert re.search(r"^feature_worker = 0 \(fork failed: .+\)$", manifest, re.M), manifest
-            assert f"feature_worker = {workers}\n" in (forked / "manifest.txt").read_text()
+            assert "feature_worker = 1\n" in (forked / "manifest.txt").read_text()
             for name in ("matrix_3.csv", "metrics.txt"):
                 assert (inline / name).read_bytes() == (forked / name).read_bytes()
             assert_no_child()
 
-        check(TINY, 1)
-        check(TINY.replace("[encoder]\n", "[encoder]\naggregate_mode = standard\n"), 2)
+        check(TINY, "full")
+        check(TINY.replace("[encoder]\n", "[encoder]\naggregate_mode = standard\n"), "head_only")
 
 
 def test_one_blas_thread_restores_the_count():
@@ -346,16 +361,6 @@ def children(pid):
     return sorted(kids)
 
 
-def pipes(pid):
-    """The pipes that ``pid`` holds an end of, as ``pipe:[<inode>]``."""
-    held = set()
-    for fd in Path(f"/proc/{pid}/fd").iterdir():
-        with contextlib.suppress(OSError):  # closed while listed
-            if (link := os.readlink(fd)).startswith("pipe:"):
-                held.add(link)
-    return held
-
-
 def running(pid):
     """Whether ``pid`` exists and has not exited (a zombie has)."""
     try:
@@ -367,15 +372,15 @@ def running(pid):
 @needs_worker
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
 def test_killed_run_leaves_no_worker(tmp_path):
-    # every worker must see its pipe close when the main process dies: none
-    # may hold an end of another worker's pipe
-    def check(text, workers):
-        cfg = tmp_path / f"exp{workers}.cfg"
+    # the one worker must see its pipe close when the main process dies, for
+    # a full and a head-only classifier
+    def check(text, name):
+        cfg = tmp_path / f"{name}.cfg"
         cfg.write_text(text)
         env = dict(os.environ, PYTHONPATH=str(SRC))
         proc = subprocess.Popen(
             [sys.executable, "-c", "import sys; from streamcl.cli import main; sys.exit(main())",
-             "run", "--config", str(cfg), "--out", str(tmp_path / f"out{workers}"), "--seeds", "0"],
+             "run", "--config", str(cfg), "--out", str(tmp_path / f"out_{name}"), "--seeds", "0"],
             env=env, stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL)
         try:
@@ -387,9 +392,7 @@ def test_killed_run_leaves_no_worker(tmp_path):
             time.sleep(0.5)  # into training
             kids = sorted(set(kids) | set(children(proc.pid)))
             assert proc.poll() is None
-            assert len(kids) == workers
-            held = [pipes(k) for k in kids]
-            assert all(held) and len(set().union(*held)) == sum(map(len, held)), held
+            assert len(kids) == 1
             proc.send_signal(signal.SIGKILL)
             proc.wait()
             deadline = time.monotonic() + 5
@@ -400,5 +403,5 @@ def test_killed_run_leaves_no_worker(tmp_path):
             proc.kill()
             proc.wait()
 
-    check("[stream]\nsamples_per_task = 200\n", 1)
-    check("[stream]\nsamples_per_task = 600\n[encoder]\naggregate_mode = standard\n", 2)
+    check("[stream]\nsamples_per_task = 200\n", "full")
+    check("[stream]\nsamples_per_task = 600\n[encoder]\naggregate_mode = standard\n", "head_only")

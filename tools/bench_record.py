@@ -22,15 +22,19 @@ medians differ by more than the baseline's interquartile range.
 Each checkout also runs one ``perfbench/run.py --trace 1`` of the same
 workloads and seed, and the experiment keeps its per-layer metrics
 (``per_layer``) beside the end-to-end rows. The traced encoder figures
-(``tensor.conv2d.encoder.*`` and ``encoder.*``) read 0: the encoder runs
-in the feature workers, which perfbench's tracer does not see.
+(``tensor.conv2d.encoder.*`` and ``encoder.*``) count only the main
+process's encoding, which perfbench's tracer sees: 0 on a full classifier's
+workloads, whose feature worker encodes every row, and the main process's
+share on a head-only one's.
 
-Each checkout also runs the default config's seed 0 once, ``streamcl run
---seeds 0`` under ``OPENBLAS_NUM_THREADS=1``, and the experiment keeps that
-manifest's ``seed_wall_s``, ``peak_rss_mb`` and ``worker_peak_rss_mb``:
-perfbench's ``peak_rss_mb`` counts its own process only (``RUSAGE_SELF``),
-not the feature workers that a run forks (``worker_peak_rss_mb`` is the
-largest of their peaks).
+Each checkout also runs the default config's seed 0 three times, ``streamcl
+run --seeds 0`` under ``OPENBLAS_NUM_THREADS=1``, in rounds that alternate
+the checkouts as the pairs do. ``default_seed0`` keeps every run and the
+median of each key: the manifest's ``seed_wall_s``, ``peak_rss_mb`` and
+``worker_peak_rss_mb`` (perfbench's ``peak_rss_mb`` counts its own process
+only, ``RUSAGE_SELF``, not the feature worker that a run forks), and
+``cpu_s``, the CPU seconds of the run's main process plus the worker it
+reaped (``os.wait4``).
 """
 
 from __future__ import annotations
@@ -76,17 +80,23 @@ def run_once(checkout, workload, seed, seconds, trace=0):
 
 
 def default_seed(checkout):
-    """The manifest entries MANIFEST_KEYS of one default-config seed-0 run of
-    ``checkout`` at one OpenBLAS thread, numbers as floats."""
+    """One default-config seed-0 run of ``checkout`` at one OpenBLAS thread:
+    its manifest entries MANIFEST_KEYS, numbers as floats, and ``cpu_s``, the
+    CPU seconds of its main process plus the feature worker it reaped."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=str(Path(checkout).resolve() / "src"))
     with tempfile.TemporaryDirectory(prefix="bench-seed0-") as tmp:
         cmd = [sys.executable, "-m", "streamcl.cli", "run", "--seeds", "0", "--out", tmp + "/out"]
-        proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True,
-                              check=False)
-        if proc.returncode != 0:
-            raise SystemExit(f"{checkout}: {' '.join(cmd)} exited {proc.returncode}:\n"
-                             f"{proc.stderr[-2000:]}")
+        with open(Path(tmp, "log"), "w+") as log:
+            proc = subprocess.Popen(cmd, cwd=checkout, env=env, stdout=log,
+                                    stderr=subprocess.STDOUT)
+            # wait4's usage of a child includes the children it reaped: the worker
+            _, status, usage = os.wait4(proc.pid, 0)
+            proc.returncode = os.waitstatus_to_exitcode(status)
+            if proc.returncode != 0:
+                log.seek(0)
+                raise SystemExit(f"{checkout}: {' '.join(cmd)} exited {proc.returncode}:\n"
+                                 f"{log.read()[-2000:]}")
         lines = Path(tmp, "out", "manifest.txt").read_text().splitlines()
     entries = dict(line.split(" = ", 1) for line in lines if " = " in line)
     out = {}
@@ -95,6 +105,7 @@ def default_seed(checkout):
             out[key] = float(entries[key])
         except (KeyError, ValueError):  # absent at older checkouts, or not a number
             out[key] = entries.get(key)
+    out["cpu_s"] = usage.ru_utime + usage.ru_stime
     return out
 
 
@@ -170,8 +181,15 @@ def main(argv=None):
                                       for w, r in rows.items()}
         print(f"{name} per-layer: {sum(len(r['metrics']) for r in rows.values())} figures",
               flush=True)
-        summary[name]["default_seed0"] = default_seed(checkouts[name])
-        print(f"{name} default seed 0: {summary[name]['default_seed0']}", flush=True)
+    seed0 = {name: [] for name in names}
+    for i in range(3):  # rounds, alternating the checkouts as the pairs do
+        for name in names if i % 2 == 0 else names[::-1]:
+            seed0[name].append(default_seed(checkouts[name]))
+            print(f"{name} default seed 0, run {i + 1}/3: {seed0[name][-1]}", flush=True)
+    for name, seed_runs in seed0.items():
+        median = {key: statistics.median(r[key] for r in seed_runs) for key in seed_runs[0]
+                  if all(isinstance(r[key], float) for r in seed_runs)}
+        summary[name]["default_seed0"] = {"median": median, "runs": seed_runs}
     experiment = {
         "label": args.label,
         "recorded": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
