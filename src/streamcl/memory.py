@@ -19,12 +19,14 @@ class EmptyBuffer(RuntimeError):
 class ReplayBuffer:
     """The queries both policies answer, all read from ``items()``: one
     ``(x, y, task, index)`` tuple per stored sample. A policy supplies
-    ``insert`` and ``items``."""
+    ``insert`` and ``items``, and calls ``forget(index)`` for each sample it
+    drops: one it overwrites or replaces, or one it turns away. The stream is
+    one pass, so no replay or snapshot row names that sample again."""
 
-    def __init__(self, capacity):
+    def __init__(self, capacity, forget=lambda index: None):
         if capacity < 1:
             raise ValueError("capacity must be positive")
-        self.capacity = capacity
+        self.capacity, self.forget = capacity, forget
 
     def __len__(self):
         return len(self.items())
@@ -46,8 +48,8 @@ class RingBuffer(ReplayBuffer):
     """Per-task slot arrays with FIFO overwrite at fixed capacity; ``items()``
     walks the tasks in sorted order, each in slot order."""
 
-    def __init__(self, capacity_per_task):
-        super().__init__(capacity_per_task)
+    def __init__(self, capacity_per_task, forget=lambda index: None):
+        super().__init__(capacity_per_task, forget)
         self._slots = {}
         self._cursor = {}
 
@@ -58,6 +60,7 @@ class RingBuffer(ReplayBuffer):
             slots.append(item)
         else:
             cur = self._cursor.get(task_id, 0)
+            self.forget(slots[cur][3])
             slots[cur] = item
             self._cursor[task_id] = (cur + 1) % self.capacity
 
@@ -73,8 +76,8 @@ class ReservoirBuffer(ReplayBuffer):
     replaces slot j when j < capacity.
     """
 
-    def __init__(self, capacity):
-        super().__init__(capacity)
+    def __init__(self, capacity, forget=lambda index: None):
+        super().__init__(capacity, forget)
         self._slots = []
         self.seen = 0
 
@@ -87,8 +90,9 @@ class ReservoirBuffer(ReplayBuffer):
             self._slots.append(item)
             return
         j = int(rng.integers(0, self.seen))
-        if j < self.capacity:
-            self._slots[j] = item
+        if j < self.capacity:  # the item replaces slot j's, else it is turned away
+            item, self._slots[j] = self._slots[j], item
+        self.forget(item[3])
 
     def items(self):
         return list(self._slots)

@@ -19,7 +19,7 @@ import copy
 import functools
 import hashlib
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -229,7 +229,7 @@ class ExperimentState:
 
 ENCODE_ROWS = 32  # rows per encoder call at most
 ENCODE_BYTES = 256 * 1024  # feature bytes per encoder call; the im2col buffers grow with them
-MEMO_ROWS = 512  # entries of the train-side feature memo
+MEMO_BYTES = 32 << 20  # feature bytes of the train-side memo at most
 
 
 def feature_shape(cfg):
@@ -283,27 +283,35 @@ def _encode(encoder, cfg, xs, indices):
     return out
 
 
-class FeatureMemo:
-    """Exact memo of training-row features: an insertion-ordered dict from
-    (sample index, ow, oh, flip) to that row's own feature copy, holding at
-    most ``rows`` entries. A miss is inserted, a hit keeps its place, and past
-    ``rows`` entries the oldest insertion is dropped. The key holds no input
-    bytes: a sample index's stored input never changes, and a row is a pure
-    function of that input and its augmentation draw, so only a miss is made
-    (``apply_draws``) and encoded.
-    """
+class FeatureEncoder:
+    """``state.features`` of a process that encodes: test rows (``draws`` None)
+    afresh, training rows (stream, replay and snapshot), each the draw
+    ``draws[i]``, through an exact memo; see :func:`_encode`.
 
-    def __init__(self, rows):
-        self.rows = rows
-        self.entries = OrderedDict()
+    ``entries`` maps a sample index to ``{(ow, oh, flip): a copy of its
+    features}``. A sample index's stored input never changes and a row is a
+    pure function of it and its draw, so only a miss is made (``apply_draws``)
+    and encoded. The stream is one pass and test rows bypass the memo, so a
+    sample's entries are dead once the replay buffer drops it and calls
+    :meth:`forget`. Past MEMO_BYTES the oldest sample's entries go too. A run
+    without replay never asks for a training row twice, so it keeps none."""
 
-    def features(self, xs, indices, draws, encode):
-        """Features of the inputs ``xs``, sample ``indices`` under ``draws``;
-        ``encode(rows, indices)`` runs once on the drawn rows the memo lacks,
-        each distinct key once: a key repeated within the call takes the
-        features of its first row."""
-        keys = [(i, *d) for i, d in zip(indices.tolist(), draws.tolist())]
-        found = [self.entries.get(k) for k in keys]
+    def __init__(self, encoder, cfg):
+        self.encoder, self.cfg, self.keep = encoder, cfg, cfg.replay.enabled
+        self.entries, self.nbytes = {}, 0
+
+    def forget(self, index):
+        """Drop the entries of sample ``index``: no request names it again."""
+        self.nbytes -= sum(f.nbytes for f in self.entries.pop(index, {}).values())
+
+    def __call__(self, xs, indices, draws=None):
+        """Training rows run ``_encode`` once on the drawn rows the memo lacks, each
+        distinct key once: a key repeated within the call takes its first row's."""
+        encode = functools.partial(_encode, self.encoder, self.cfg)
+        if draws is None:
+            return encode(xs, indices)
+        keys = list(zip(indices.tolist(), map(tuple, draws.tolist())))
+        found = [self.entries.get(i, {}).get(d) for i, d in keys]
         first = {}  # each missing key -> the row of its first copy
         for r, (k, f) in enumerate(zip(keys, found)):
             if f is None:
@@ -311,26 +319,13 @@ class FeatureMemo:
         if first:
             rows = list(first.values())
             fresh = dict(zip(first, encode(apply_draws(xs[rows], draws[rows]), indices[rows])))
-            for k, f in fresh.items():
-                self.entries[k] = f.copy()  # a view would keep the whole encode block alive
-                if len(self.entries) > self.rows:
-                    self.entries.popitem(last=False)
+            for (i, d), f in fresh.items() if self.keep else ():
+                self.entries.setdefault(i, {})[d] = f.copy()  # a view would keep the block alive
+                self.nbytes += f.nbytes
+            while self.nbytes > MEMO_BYTES:
+                self.forget(next(iter(self.entries)))
             found = [fresh[k] if f is None else f for k, f in zip(keys, found)]
         return np.stack(found)
-
-
-class FeatureEncoder:
-    """``state.features`` of a process that encodes: training rows (stream,
-    replay and snapshot), each the draw ``draws[i]``, through a
-    :class:`FeatureMemo` of MEMO_ROWS entries, test rows (``draws`` None)
-    afresh; see :func:`_encode`."""
-
-    def __init__(self, encoder, cfg):
-        self.encoder, self.cfg, self.memo = encoder, cfg, FeatureMemo(MEMO_ROWS)
-
-    def __call__(self, xs, indices, draws=None):
-        encode = functools.partial(_encode, self.encoder, self.cfg)
-        return encode(xs, indices) if draws is None else self.memo.features(xs, indices, draws, encode)
 
 
 class _Update(NamedTuple):
@@ -399,17 +394,16 @@ class Trainer:
                                 cfg.loss.embedding)
         heads = np.array([sorted(t.class_ids) if cfg.model.head_mode == "multi"
                           else range(stream.n_classes) for t in stream.tasks])
-        if cfg.replay.policy == "ring":
-            buffer = RingBuffer(cfg.replay.capacity)
-        else:
-            buffer = ReservoirBuffer(cfg.replay.capacity)
+        features = FeatureEncoder(encoder, cfg)
+        policy = RingBuffer if cfg.replay.policy == "ring" else ReservoirBuffer
         return ExperimentState(
             cfg=cfg, stream=stream, encoder=encoder, classifier=classifier,
-            optimizer=SGD(classifier.params(), cfg.train.lr), buffer=buffer,
+            optimizer=SGD(classifier.params(), cfg.train.lr),
+            buffer=policy(cfg.replay.capacity, features.forget),
             matrix=AccuracyMatrix(stream.n_tasks), heads=heads,
             rngs={"buffer": np.random.default_rng(ss_buffer),
                   "augment": np.random.default_rng(ss_augment)},
-            features=FeatureEncoder(encoder, cfg))
+            features=features)
 
     # data side: model-free generators that a run's main process and its
     # feature worker both execute ----------------------------------------------

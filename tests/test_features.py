@@ -18,7 +18,6 @@ from streamcl.streams import CROP_PAD, NO_DRAW, apply_draws
 from streamcl.tensor import Tensor
 from streamcl.trainer import (
     FeatureEncoder,
-    FeatureMemo,
     Trainer,
     _block_rows,
     _encode,
@@ -124,9 +123,10 @@ class TestEncodeTransient:
 
 DRAWS = [NO_DRAW, (2, 2, 1), (0, 3, 0), (4, 1, 1)]
 
-CALLS = st.lists(
-    st.lists(st.tuples(st.integers(0, 5), st.integers(0, len(DRAWS) - 1)),
-             min_size=1, max_size=12),
+STEPS = st.lists(
+    st.one_of(st.lists(st.tuples(st.integers(0, 5), st.integers(0, len(DRAWS) - 1)),
+                       min_size=1, max_size=12),
+              st.integers(0, 5)),  # a sample index that the buffer drops
     min_size=1, max_size=8)
 
 
@@ -141,33 +141,47 @@ def drawn(x, draw):
 
 class TestMemo:
     @settings(max_examples=30, deadline=None)
-    @given(calls=CALLS)
-    def test_every_result_equals_a_fresh_encode(self, calls):
-        # a memo of 8 entries, so that calls of up to 12 rows evict inside a call;
+    @given(steps=STEPS)
+    def test_every_result_equals_a_fresh_encode(self, steps):
+        # a budget of 8 rows, which one call of up to 12 rows can overrun;
         # an aliased row is the same sample index under another draw. ``held`` is a
-        # reference FIFO of the last 8 distinct keys inserted: a hit keeps its place,
-        # so each call must encode exactly the first rows of the distinct keys it
-        # lacks, drawn from the raw inputs, in one call
-        state, memo = state_for(), FeatureMemo(8)
+        # reference memo: each sample's draws, oldest sample first; a forgotten
+        # sample goes, a new draw of a held sample keeps its place, and past 8 rows
+        # the oldest samples go. So each call must encode exactly the first rows of
+        # the distinct keys it lacks, drawn from the raw inputs, in one call
+        state = state_for()
+        memo, row = FeatureEncoder(state.encoder, state.cfg), 8 * np.prod(feature_shape(state.cfg))
         pool = np.random.default_rng(1).normal(size=(6, 1, 32, 32))
         rows = {(i, *d): drawn(pool[i], d) for i in range(6) for d in DRAWS}
-        encoded, held = [], []
+        encoded, held = [], {}
 
-        def encode(xs, idx):
+        def encode(encoder, cfg, xs, idx):
             encoded.append([(int(i), x.tobytes()) for i, x in zip(idx, xs)])
-            return _encode(state.encoder, state.cfg, xs, idx)
+            return _encode(encoder, cfg, xs, idx)
 
-        for call in calls:
-            keys = [(i, *DRAWS[d]) for i, d in call]
-            xs = np.stack([rows[k] for k in keys])
-            idx, draws = np.array([k[0] for k in keys]), np.array([k[1:] for k in keys])
-            before = len(encoded)
-            got = memo.features(pool[idx], idx, draws, encode)
-            assert np.array_equal(bits(got), bits(_encode(state.encoder, state.cfg, xs, idx)))
-            missing = list(dict.fromkeys(k for k in keys if k not in held))
-            want = [(k[0], rows[k].tobytes()) for k in missing]
-            assert encoded[before:] == ([want] if missing else [])
-            held = (held + missing)[-8:]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(trainer_module, "_encode", encode)
+            mp.setattr(trainer_module, "MEMO_BYTES", 8 * row)
+            for step in steps:
+                if isinstance(step, int):
+                    memo.forget(step)
+                    held.pop(step, None)
+                    continue
+                keys = [(i, *DRAWS[d]) for i, d in step]
+                xs = np.stack([rows[k] for k in keys])
+                idx, draws = np.array([k[0] for k in keys]), np.array([k[1:] for k in keys])
+                before = len(encoded)
+                got = memo(pool[idx], idx, draws)
+                assert np.array_equal(bits(got), bits(_encode(state.encoder, state.cfg, xs, idx)))
+                missing = list(dict.fromkeys(k for k in keys if k[1:] not in held.get(k[0], [])))
+                want = [(k[0], rows[k].tobytes()) for k in missing]
+                assert encoded[before:] == ([want] if missing else [])
+                for k in missing:
+                    held.setdefault(k[0], []).append(k[1:])
+                while sum(map(len, held.values())) > 8:
+                    del held[next(iter(held))]
+                assert [(i, list(e)) for i, e in memo.entries.items()] == list(held.items())
+                assert memo.nbytes == row * sum(map(len, held.values()))
 
     def test_repeats_encode_nothing(self, monkeypatch):
         state, rows = state_for(), []
@@ -235,11 +249,53 @@ class TestWholeRun:
         memo = run_bytes(cfg)
         memo_rows = sum(rows)
         del rows[:]
-        monkeypatch.setattr(FeatureMemo, "features",
-                            lambda memo, xs, indices, draws, encode:
-                            encode(apply_draws(xs, draws), indices))
+        monkeypatch.setattr(FeatureEncoder, "__call__",
+                            lambda features, xs, indices, draws=None:
+                            trainer_module._encode(features.encoder, features.cfg, xs if draws
+                                                   is None else apply_draws(xs, draws), indices))
         assert run_bytes(cfg) == memo
         assert memo_rows < sum(rows)  # the memo did serve some rows
+
+
+class TestExactMemo:
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"loss.distill_variant": "tf", "loss.new_task_classes": "2", "replay.policy": "reservoir"},
+    ], ids=["ring", "reservoir"])
+    def test_an_unbounded_memo_encodes_each_key_once(self, overrides, monkeypatch):
+        # the rule rests on the one-pass stream: no request names a sample that the
+        # buffer dropped; so, with no byte budget, each distinct key is encoded once
+        cfg = parse_config_text(TINY, overrides)
+        keys, forgotten, encoded = set(), set(), []
+        call, forget, apply = FeatureEncoder.__call__, FeatureEncoder.forget, trainer_module.apply_draws
+
+        def requested(features, xs, indices, draws=None):
+            if draws is not None:
+                assert not forgotten & set(indices.tolist())
+                keys.update(zip(indices.tolist(), map(tuple, draws.tolist())))
+            return call(features, xs, indices, draws)
+
+        monkeypatch.setattr(FeatureEncoder, "__call__", requested)
+        monkeypatch.setattr(FeatureEncoder, "forget",
+                            lambda features, index: forgotten.add(index) or forget(features, index))
+        monkeypatch.setattr(trainer_module, "apply_draws",
+                            lambda xs, draws: encoded.append(len(xs)) or apply(xs, draws))
+        monkeypatch.setattr(trainer_module, "MEMO_BYTES", float("inf"))
+        run_bytes(cfg)
+        assert len(forgotten) > 0  # the buffer did drop samples
+        assert sum(encoded) == len(keys)
+
+    def test_a_run_without_replay_keeps_no_entry(self, monkeypatch):
+        held, call = [], FeatureEncoder.__call__
+
+        def requested(features, *args):
+            out = call(features, *args)
+            held.append(len(features.entries) + features.nbytes)
+            return out
+
+        monkeypatch.setattr(FeatureEncoder, "__call__", requested)
+        run_bytes(parse_config_text(TINY, {"replay.enabled": "false"}))
+        assert len(held) > 10 and not any(held)
 
 
 def test_a_finished_run_frees_its_state(monkeypatch):

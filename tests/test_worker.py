@@ -113,8 +113,8 @@ class TestWorkerRun:
         assert result.feature_worker == "1" and result.blas_threads == 1
         # a full classifier's memo lived in the worker; a head-only run's main
         # process encodes its own share through its own memo
-        assert (len(state.features.memo.entries) > 0) == main_encodes
-        assert len(inline.features.memo.entries) > 0
+        assert (len(state.features.entries) > 0) == main_encodes
+        assert len(inline.features.entries) > 0
         # pixels are made only where rows are encoded: the worker's calls are
         # its own, and the main process makes those of its share only
         main_calls = len(calls) - inline_calls

@@ -16,8 +16,13 @@ per workload, the median and quartiles of each end-to-end metric over the
 runs, the runs' values, ``attempted`` and ``failed`` and the bundle sha256s
 seen. With two or more checkouts the first is the baseline: per metric, the
 experiment records how many pairs each other checkout won (all five metrics
-are lower-is-better), its median against the baseline's, and whether the
-medians differ by more than the baseline's interquartile range.
+are lower-is-better), ``median_ratio``, the ratio of its median to the
+baseline's, less 1, whether those medians differ by more than the
+baseline's interquartile range, and ``pair_ratio``, the median over the
+pairs of each pair's ratio of its run to the baseline's. The sides'
+medians drift with the machine between pairs, by ±10% on a 2-CPU box, while
+both runs of a pair see much the same machine, so ``pair_ratio`` is the
+steadier figure of the two.
 
 Each checkout also runs one ``perfbench/run.py --trace 1`` of the same
 workloads and seed, and the experiment keeps its per-layer metrics
@@ -34,7 +39,9 @@ median of each key: the manifest's ``seed_wall_s``, ``peak_rss_mb`` and
 ``worker_peak_rss_mb`` (perfbench's ``peak_rss_mb`` counts its own process
 only, ``RUSAGE_SELF``, not the feature worker that a run forks), and
 ``cpu_s``, the CPU seconds of the run's main process plus the worker it
-reaped (``os.wait4``).
+reaped (``os.wait4``). Each other checkout's ``default_seed0`` also keeps
+``round_ratios``: per key of ROUND_KEYS, each round's ratio of its run to
+the baseline's, and their median.
 """
 
 from __future__ import annotations
@@ -51,6 +58,7 @@ from pathlib import Path
 
 METRICS = ("wall_s", "setup_s", "batch_p50_ms", "batch_p90_ms", "peak_rss_mb")
 MANIFEST_KEYS = ("seed_wall_s", "peak_rss_mb", "worker_peak_rss_mb", "feature_worker")
+ROUND_KEYS = ("seed_wall_s", "cpu_s", "worker_peak_rss_mb")
 
 
 def run_once(checkout, workload, seed, seconds, trace=0):
@@ -130,8 +138,17 @@ def summarize(runs):
     return out
 
 
+def ratios(runs, base_runs):
+    """Each pair's ratio of ``runs`` to ``base_runs``, skipping a pair without
+    two numbers or with a baseline of 0, and their median (None if none is left)."""
+    each = [o / b for o, b in zip(runs, base_runs)
+            if isinstance(o, (int, float)) and isinstance(b, (int, float)) and b]
+    return {"median": statistics.median(each) if each else None, "each": each}
+
+
 def compare(base, other):
-    """Per workload and metric: pairs ``other`` won, and its median against ``base``'s."""
+    """Per workload and metric: pairs ``other`` won, the ratio of its median to
+    ``base``'s, and the median of its per-pair ratios."""
     out = {}
     for name, row in other.items():
         out[name] = {}
@@ -144,6 +161,7 @@ def compare(base, other):
                 "wins": wins, "pairs": min(len(fig["runs"]), len(ref["runs"])),
                 "median_ratio": fig["median"] / ref["median"] - 1 if ref["median"] else None,
                 "beyond_base_iqr": abs(fig["median"] - ref["median"]) > ref["q3"] - ref["q1"],
+                "pair_ratio": ratios(fig["runs"], ref["runs"])["median"],
             }
     return out
 
@@ -161,6 +179,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     checkouts = dict(c.split("=", 1) for c in args.checkout)
     names = list(checkouts)
+    path = Path(args.out)  # read first, so that a file that does not parse costs no runs
+    record = json.loads(path.read_text()) if path.exists() else {"experiments": []}
     runs = {name: [] for name in names}
     envs = {}
     for i in range(args.pairs):
@@ -190,6 +210,10 @@ def main(argv=None):
         median = {key: statistics.median(r[key] for r in seed_runs) for key in seed_runs[0]
                   if all(isinstance(r[key], float) for r in seed_runs)}
         summary[name]["default_seed0"] = {"median": median, "runs": seed_runs}
+        if name != names[0]:
+            summary[name]["default_seed0"]["round_ratios"] = {
+                key: ratios([r[key] for r in seed_runs], [r[key] for r in seed0[names[0]]])
+                for key in ROUND_KEYS}
     experiment = {
         "label": args.label,
         "recorded": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
@@ -200,8 +224,6 @@ def main(argv=None):
         "against_" + names[0]: {name: compare(summary[names[0]]["workloads"],
                                               summary[name]["workloads"]) for name in names[1:]},
     }
-    path = Path(args.out)
-    record = json.loads(path.read_text()) if path.exists() else {"experiments": []}
     record["experiments"].append(experiment)
     tmp = path.with_suffix(".tmp")
     tmp.write_text(json.dumps(record, indent=1) + "\n")
